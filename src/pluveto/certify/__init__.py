@@ -4,6 +4,7 @@ bounds with their dual translation, and exact LP worst-case distortion.
 """
 
 from .distortion import (
+    DistortionInputError,
     DistortionResult,
     LPInternalError,
     distortion,
@@ -38,6 +39,7 @@ from .metric import Metric, metric_from_csv, metric_to_csv, social_cost
 from .simplex import LPResult, LPStatus, linprog_max
 
 __all__ = [
+    "DistortionInputError",
     "DistortionResult",
     "LPInternalError",
     "distortion",

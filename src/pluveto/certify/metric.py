@@ -12,11 +12,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ..core import Election
 
-__all__ = ["Metric", "social_cost", "metric_to_csv", "metric_from_csv"]
+__all__ = [
+    "Metric", "social_cost", "metric_to_csv", "metric_from_csv", "triangle_violations",
+]
 
 DEFAULT_TOL = 1e-9
+_BLOCK_ENTRIES = 1 << 20  # tensor entries checked at once by triangle_violations
+
+
+def triangle_violations(d, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Every four-point violation ``d[v, c] > d[v, c2] + d[v2, c2] + d[v2, c]
+    + tol`` of the n x m distance array ``d``, as rows (v, v2, c, c2) in
+    lexicographic order.  The n x n x m x m tensor of right-hand sides is
+    built a block of voters v at a time, which bounds its memory."""
+    d = np.asarray(d, dtype=float)
+    n, m = d.shape
+    step = max(1, _BLOCK_ENTRIES // (n * m * m))
+    found = []
+    for lo in range(0, n, step):
+        block = d[lo : lo + step]
+        bound = block[:, None, None, :] + d[None, :, None, :] + d[None, :, :, None]
+        hit = np.argwhere(block[:, None, :, None] > bound + tol)
+        hit[:, 0] += lo
+        found.append(hit)
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -46,22 +69,22 @@ class Metric:
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Raise ValueError on a negative entry or a four-point triangle
-        violation beyond ``tol``."""
+        violation beyond ``tol``; the first one in (v, c) or (v, v2, c, c2)
+        order is reported."""
         d = self.d
-        for v in range(self.n):
-            for c in range(self.m):
-                if d[v][c] < -tol:
-                    raise ValueError(f"negative distance d({v},{c}) = {d[v][c]}")
-        for v in range(self.n):
-            for v2 in range(self.n):
-                for c in range(self.m):
-                    for c2 in range(self.m):
-                        bound = d[v][c2] + d[v2][c2] + d[v2][c]
-                        if d[v][c] > bound + tol:
-                            raise ValueError(
-                                f"triangle violation: d({v},{c}) = {d[v][c]} > "
-                                f"d({v},{c2}) + d({v2},{c2}) + d({v2},{c}) = {bound}"
-                            )
+        array = np.array(d)
+        negative = np.argwhere(array < -tol)
+        if len(negative):
+            v, c = (int(i) for i in negative[0])
+            raise ValueError(f"negative distance d({v},{c}) = {d[v][c]}")
+        violations = triangle_violations(array, tol)
+        if len(violations):
+            v, v2, c, c2 = (int(i) for i in violations[0])
+            bound = d[v][c2] + d[v2][c2] + d[v2][c]
+            raise ValueError(
+                f"triangle violation: d({v},{c}) = {d[v][c]} > "
+                f"d({v},{c2}) + d({v2},{c2}) + d({v2},{c}) = {bound}"
+            )
 
     def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
         try:

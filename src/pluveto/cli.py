@@ -16,7 +16,12 @@ import tempfile
 from fractions import Fraction
 
 from .bench import parse_config, potential_winners, report_to_csv, run_experiment
-from .certify.distortion import distortion, worst_case_distortion
+from .certify.distortion import (
+    DEFAULT_MAX_VARIABLES,
+    DistortionInputError,
+    distortion,
+    worst_case_distortion,
+)
 from .certify.domination import (
     domination_graph,
     fractional_perfect_matching,
@@ -156,6 +161,10 @@ def build_parser() -> _Parser:
     dist.add_argument("--order")
     dist.add_argument("--cstar", type=int, help="fix the reference candidate")
     dist.add_argument("--out", help="write the witness metric CSV here")
+    dist.add_argument(
+        "--max-variables", type=int, default=DEFAULT_MAX_VARIABLES,
+        help=f"largest n * m to solve (default {DEFAULT_MAX_VARIABLES})",
+    )
 
     flow = sub.add_parser("flow", help="build or verify a distortion-certifying flow")
     flow.add_argument("ballots")
@@ -261,12 +270,17 @@ def _distribution_from_flags(args, e) -> WeightVector:
 def _cmd_distortion(args) -> int:
     e = _load_election(args.ballots)
     w = _distribution_from_flags(args, e)
-    if args.cstar is not None:
-        if not 0 <= args.cstar < e.m:
-            raise CliError(f"--cstar out of range 0..{e.m - 1}")
-        result = worst_case_distortion(e, w, args.cstar)
-    else:
-        result = distortion(e, w)
+    if args.cstar is not None and not 0 <= args.cstar < e.m:
+        raise CliError(f"--cstar out of range 0..{e.m - 1}")
+    try:
+        if args.cstar is not None:
+            result = worst_case_distortion(
+                e, w, args.cstar, max_variables=args.max_variables
+            )
+        else:
+            result = distortion(e, w, max_variables=args.max_variables)
+    except DistortionInputError as exc:
+        raise CliError(str(exc))
     print(f"distortion: {result.value:.9f} (reference candidate {result.cstar})")
     if args.out:
         _atomic_write(args.out, metric_to_csv(result.witness))

@@ -1,15 +1,19 @@
+import importlib
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from pluveto.core import Election, WeightVector
 from pluveto.certify.distortion import (
+    DistortionInputError,
     LPInternalError,
     distortion,
     worst_case_distortion,
 )
 from pluveto.certify.metric import social_cost
+from pluveto.certify.simplex import LPStatus, linprog_max
 from pluveto.bench import generate_euclidean
 from pluveto.rules import plurality_veto, randomized_veto
 
@@ -61,15 +65,15 @@ class TestWorstCaseDistortion:
         # every voter tops candidate 0; a point mass on candidate 1 can be
         # pushed arbitrarily far, so the LP reports infinite distortion
         e = Election(((0, 1), (0, 1)))
-        with pytest.raises(LPInternalError, match="unbounded"):
+        with pytest.raises(DistortionInputError, match="unbounded"):
             worst_case_distortion(e, WeightVector.point_mass(1, 2), 0)
 
     def test_variable_cap_enforced(self):
-        e = Election(tuple(tuple(range(9)) for _ in range(9)))
-        with pytest.raises(ValueError, match="cap"):
-            worst_case_distortion(e, WeightVector.point_mass(0, 9), 0)
+        e = Election(tuple(tuple(range(6)) for _ in range(17)))
+        with pytest.raises(DistortionInputError, match="cap of 100"):
+            worst_case_distortion(e, WeightVector.point_mass(0, 6), 0)
         worst_case_distortion(
-            e, WeightVector.point_mass(0, 9), 0, max_variables=81
+            e, WeightVector.point_mass(0, 6), 0, max_variables=102
         )
 
     def test_bad_inputs(self, demo):
@@ -114,3 +118,85 @@ class TestDistortionWrapper:
             k = rng.randint(0, e.n - 1)
             value = distortion(e, randomized_veto(e, k)).value
             assert value <= 3 + 1e-6
+
+
+def full_lp_value(e, w, cstar):
+    """The distortion LP with every four-point triangle row and every
+    adjacent ranking row, built row by row: the reference for the LP that
+    adds triangle rows lazily."""
+    n, m = e.n, e.m
+    rows = []
+    for c in range(m):
+        for c2 in range(m):
+            if c == c2:
+                continue
+            for v in range(n):
+                for v2 in range(n):
+                    if v == v2:
+                        continue
+                    row = np.zeros(n * m)
+                    row[c * n + v] += 1.0
+                    row[c * n + v2] -= 1.0
+                    row[c2 * n + v2] -= 1.0
+                    row[c2 * n + v] -= 1.0
+                    rows.append(row)
+    for v, ranking in enumerate(e.rankings):
+        for better, worse in zip(ranking, ranking[1:]):
+            row = np.zeros(n * m)
+            row[better * n + v] += 1.0
+            row[worse * n + v] -= 1.0
+            rows.append(row)
+    A_ub = np.array(rows) if rows else np.zeros((0, n * m))
+    A_eq = np.zeros((1, n * m))
+    A_eq[0, cstar * n : (cstar + 1) * n] = 1.0
+    objective = np.repeat([float(x) for x in w], n)
+    result = linprog_max(objective, A_ub, np.zeros(len(A_ub)), A_eq, [1.0])
+    assert result.status is LPStatus.OPTIMAL
+    return result.value
+
+
+class TestLazyTriangleRows:
+    def test_matches_full_lp_on_random_elections(self):
+        rng = random.Random(3_001)
+        lazy = 0
+        for _ in range(200):
+            e = random_election(rng, rng.randint(1, 6), rng.randint(1, 5))
+            w = randomized_veto(e, rng.randint(0, e.n - 1))
+            for cstar in range(e.m):
+                r = worst_case_distortion(e, w, cstar)
+                assert abs(r.value - full_lp_value(e, w, cstar)) <= 1e-9
+                r.witness.validate()
+                assert r.witness.consistent_with(e)
+                lazy += r.lazy_rounds > 0
+        assert lazy > 0  # the sample reaches the re-solve path
+
+    def test_first_solve_violation_is_resolved(self):
+        # the LP through c* = 0 omits d(v,0) <= d(v,1) + d(v2,1) + d(v2,0);
+        # its first witness breaks that row, which the second solve adds
+        e = Election(((0, 1), (1, 0)))
+        w = WeightVector.point_mass(0, 2)
+        r = worst_case_distortion(e, w, 0)
+        assert r.lazy_rounds == 1
+        assert r.value == pytest.approx(full_lp_value(e, w, 0), abs=1e-9)
+        r.witness.validate()
+        assert r.witness.consistent_with(e)
+
+    def test_violation_of_a_held_row_is_an_internal_error(self, monkeypatch):
+        # a reported violation of a row the LP already holds is float noise;
+        # re-adding it would loop, so the solver gives up instead
+        e = Election(((0, 1), (1, 0)))
+        monkeypatch.setattr(
+            importlib.import_module("pluveto.certify.distortion"),
+            "triangle_violations",
+            lambda d: np.array([[0, 1, 0, 1]]),
+        )
+        with pytest.raises(LPInternalError, match="holds"):
+            worst_case_distortion(e, WeightVector.point_mass(0, 2), 1)
+
+    def test_counters_sum_over_reference_candidates(self):
+        e = Election(((0, 1), (1, 0)))
+        w = WeightVector.point_mass(0, 2)
+        per_cstar = [worst_case_distortion(e, w, cstar) for cstar in range(2)]
+        total = distortion(e, w)
+        assert total.pivots == sum(r.pivots for r in per_cstar) > 0
+        assert total.lazy_rounds == sum(r.lazy_rounds for r in per_cstar) >= 1

@@ -1,8 +1,45 @@
+import importlib
+import random
+
 import pytest
 
 from pluveto.bench import generate_euclidean
 from pluveto.core import Election
-from pluveto.certify.metric import Metric, metric_from_csv, metric_to_csv, social_cost
+from pluveto.certify.metric import (
+    Metric,
+    metric_from_csv,
+    metric_to_csv,
+    social_cost,
+    triangle_violations,
+)
+
+
+def loop_validation_error(d, tol=1e-9):
+    """The first violation's message by the nested-loop check, or None."""
+    n, m = len(d), len(d[0])
+    for v in range(n):
+        for c in range(m):
+            if d[v][c] < -tol:
+                return f"negative distance d({v},{c}) = {d[v][c]}"
+    for v in range(n):
+        for v2 in range(n):
+            for c in range(m):
+                for c2 in range(m):
+                    bound = d[v][c2] + d[v2][c2] + d[v2][c]
+                    if d[v][c] > bound + tol:
+                        return (
+                            f"triangle violation: d({v},{c}) = {d[v][c]} > "
+                            f"d({v},{c2}) + d({v2},{c2}) + d({v2},{c}) = {bound}"
+                        )
+    return None
+
+
+def validation_error(metric):
+    try:
+        metric.validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 class TestMetricValidation:
@@ -28,6 +65,29 @@ class TestMetricValidation:
     def test_tolerance_absorbs_float_noise(self):
         d = Metric(((1.0 + 1e-12, 1.0), (1.0, 1.0)))
         d.validate()
+
+    def test_first_violation_matches_loop_order(self, monkeypatch):
+        # small blocks make the tensor check cross several voter blocks
+        monkeypatch.setattr(
+            importlib.import_module("pluveto.certify.metric"), "_BLOCK_ENTRIES", 16
+        )
+        rng = random.Random(47)
+        errors = 0
+        for _ in range(300):
+            n, m = rng.randint(1, 5), rng.randint(1, 4)
+            values = (0.0, 0.5, 1.0, rng.uniform(-0.1, 4.0))
+            d = tuple(
+                tuple(rng.choice(values) for _ in range(m)) for _ in range(n)
+            )
+            expected = loop_validation_error(d)
+            assert validation_error(Metric(d)) == expected
+            errors += expected is not None
+        assert 0 < errors < 300
+
+    def test_triangle_violations_lists_every_row(self):
+        d = Metric(((10.0, 1.0), (1.0, 1.0)))
+        assert triangle_violations(d.d).tolist() == [[0, 1, 0, 1]]
+        assert triangle_violations(((1.0, 2.0), (2.0, 1.0))).tolist() == []
 
     def test_consistency(self):
         e = Election(((0, 1), (1, 0)))
