@@ -49,8 +49,8 @@ class DistortionResult:
     value: float
     witness: Metric
     cstar: int
-    pivots: int
-    lazy_rounds: int
+    pivots: int = 0
+    lazy_rounds: int = 0
 
 
 def _ranking_rows(e: Election) -> np.ndarray:
@@ -137,7 +137,7 @@ def worst_case_distortion(
                 f"distortion LP did not converge: {result.status.value}"
             )
         d = result.x.reshape(m, n).T
-        violated = triangle_violations(d)
+        violated = triangle_violations(d, tol)
         if not len(violated):
             break
         if in_lp[tuple(violated.T)].any():

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .bench import parse_config, potential_winners, report_to_csv, run_experiment
 from .certify.distortion import (
-    DEFAULT_MAX_VARIABLES,
     DistortionInputError,
     distortion,
     worst_case_distortion,
@@ -161,10 +160,6 @@ def build_parser() -> _Parser:
     dist.add_argument("--order")
     dist.add_argument("--cstar", type=int, help="fix the reference candidate")
     dist.add_argument("--out", help="write the witness metric CSV here")
-    dist.add_argument(
-        "--max-variables", type=int, default=DEFAULT_MAX_VARIABLES,
-        help=f"largest n * m to solve (default {DEFAULT_MAX_VARIABLES})",
-    )
 
     flow = sub.add_parser("flow", help="build or verify a distortion-certifying flow")
     flow.add_argument("ballots")
@@ -274,11 +269,9 @@ def _cmd_distortion(args) -> int:
         raise CliError(f"--cstar out of range 0..{e.m - 1}")
     try:
         if args.cstar is not None:
-            result = worst_case_distortion(
-                e, w, args.cstar, max_variables=args.max_variables
-            )
+            result = worst_case_distortion(e, w, args.cstar)
         else:
-            result = distortion(e, w, max_variables=args.max_variables)
+            result = distortion(e, w)
     except DistortionInputError as exc:
         raise CliError(str(exc))
     print(f"distortion: {result.value:.9f} (reference candidate {result.cstar})")

@@ -170,6 +170,28 @@ class TestLazyTriangleRows:
                 lazy += r.lazy_rounds > 0
         assert lazy > 0  # the sample reaches the re-solve path
 
+    @pytest.mark.parametrize("tol", [1e-6, 1e-11])
+    def test_lazy_check_uses_the_solve_tolerance(self, tol, monkeypatch):
+        module = importlib.import_module("pluveto.certify.distortion")
+        check = module.triangle_violations
+        seen = set()
+
+        def recording_check(d, tol):
+            seen.add(tol)
+            return check(d, tol)
+
+        monkeypatch.setattr(module, "triangle_violations", recording_check)
+        rng = random.Random(3_002)
+        for _ in range(30):
+            e = random_election(rng, rng.randint(2, 6), rng.randint(2, 5))
+            w = randomized_veto(e, rng.randint(0, e.n - 1))
+            r = distortion(e, w, tol=tol)
+            expected = max(full_lp_value(e, w, c) for c in range(e.m))
+            assert abs(r.value - expected) <= 1e-9
+            r.witness.validate(tol)
+            assert r.witness.consistent_with(e)
+        assert seen == {tol}
+
     def test_first_solve_violation_is_resolved(self):
         # the LP through c* = 0 omits d(v,0) <= d(v,1) + d(v2,1) + d(v2,0);
         # its first witness breaks that row, which the second solve adds
@@ -188,7 +210,7 @@ class TestLazyTriangleRows:
         monkeypatch.setattr(
             importlib.import_module("pluveto.certify.distortion"),
             "triangle_violations",
-            lambda d: np.array([[0, 1, 0, 1]]),
+            lambda d, tol: np.array([[0, 1, 0, 1]]),
         )
         with pytest.raises(LPInternalError, match="holds"):
             worst_case_distortion(e, WeightVector.point_mass(0, 2), 1)
