@@ -20,7 +20,6 @@ from .rules import (
     Committee,
     FractionalTrace,
     VetoTrace,
-    committee_compare,
     committee_select,
     fractional_veto,
     plurality_veto,
@@ -42,7 +41,6 @@ __all__ = [
     "Committee",
     "FractionalTrace",
     "VetoTrace",
-    "committee_compare",
     "committee_select",
     "fractional_veto",
     "plurality_veto",

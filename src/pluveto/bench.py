@@ -27,8 +27,6 @@ from .rules import (
 )
 
 __all__ = [
-    "EuclideanPopulation",
-    "sample_population",
     "generate_euclidean",
     "peer_selection",
     "adaptive_peer_veto",
@@ -62,42 +60,6 @@ def _rankings_from_distances(rows: Sequence[Sequence[float]]) -> Election:
     return Election(tuple(rankings))
 
 
-@dataclass(frozen=True)
-class EuclideanPopulation:
-    """A sampled embedding of voters and candidates in R^dimension."""
-
-    dimension: int
-    voters: tuple[tuple[float, ...], ...]
-    candidates: tuple[tuple[float, ...], ...]
-    seed: int
-
-    def metric(self) -> Metric:
-        return Metric(
-            tuple(
-                tuple(math.dist(v, c) for c in self.candidates)
-                for v in self.voters
-            )
-        )
-
-    def election(self) -> Election:
-        return _rankings_from_distances(self.metric().d)
-
-
-def sample_population(
-    n: int,
-    m: int,
-    dim: int = 2,
-    distribution: str = "gaussian",
-    seed: int = 0,
-) -> EuclideanPopulation:
-    if n < 1 or m < 1 or dim < 1:
-        raise ValueError("n, m and dim must all be at least 1")
-    rng = random.Random(seed)
-    voters = tuple(_sample_points(n, dim, distribution, rng))
-    candidates = tuple(_sample_points(m, dim, distribution, rng))
-    return EuclideanPopulation(dim, voters, candidates, seed)
-
-
 def generate_euclidean(
     n: int,
     m: int,
@@ -105,10 +67,15 @@ def generate_euclidean(
     distribution: str = "gaussian",
     seed: int = 0,
 ) -> tuple[Election, Metric]:
-    """Sample voter and candidate points i.i.d. and derive the election whose
-    rankings sort candidates by distance (candidate index breaks ties)."""
-    population = sample_population(n, m, dim, distribution, seed)
-    metric = population.metric()
+    """Sample voter points, then candidate points, i.i.d. from one RNG seeded
+    with ``seed``, and derive the election whose rankings sort candidates by
+    distance (candidate index breaks ties)."""
+    if n < 1 or m < 1 or dim < 1:
+        raise ValueError("n, m and dim must all be at least 1")
+    rng = random.Random(seed)
+    voters = _sample_points(n, dim, distribution, rng)
+    candidates = _sample_points(m, dim, distribution, rng)
+    metric = Metric(tuple(tuple(math.dist(v, c) for c in candidates) for v in voters))
     return _rankings_from_distances(metric.d), metric
 
 

@@ -11,7 +11,6 @@ from .distortion import (
     worst_case_distortion,
 )
 from .domination import (
-    DominationGraph,
     PQDominationGraph,
     domination_graph,
     fractional_perfect_matching,
@@ -26,15 +25,13 @@ from .flow import (
     FlowAssignment,
     FlowCheck,
     FlowError,
-    FlowNetwork,
-    build_flow_network,
     construct_flow,
     dual_from_flow,
     format_flow,
     parse_flow,
     verify_flow,
 )
-from .matching import RationalMaxFlow, maximum_bipartite_matching
+from .matching import RationalMaxFlow
 from .metric import Metric, metric_from_csv, metric_to_csv, social_cost
 from .simplex import LPResult, LPStatus, linprog_max
 
@@ -44,7 +41,6 @@ __all__ = [
     "LPInternalError",
     "distortion",
     "worst_case_distortion",
-    "DominationGraph",
     "PQDominationGraph",
     "domination_graph",
     "pq_domination_graph",
@@ -57,15 +53,12 @@ __all__ = [
     "FlowAssignment",
     "FlowCheck",
     "FlowError",
-    "FlowNetwork",
-    "build_flow_network",
     "construct_flow",
     "dual_from_flow",
     "format_flow",
     "parse_flow",
     "verify_flow",
     "RationalMaxFlow",
-    "maximum_bipartite_matching",
     "Metric",
     "metric_from_csv",
     "metric_to_csv",

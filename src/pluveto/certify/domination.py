@@ -1,12 +1,20 @@
 """Domination graphs and their matching certificates.
 
-For a candidate c, the (integral) domination graph pairs voters with voters:
-voter v is linked to voter v' when v ranks c weakly above v''s top choice.
-A perfect matching in this graph certifies that c's total voter distance is
-within a factor 3 of optimal under every metric consistent with the ballots.
-The weighted variant links voters to candidates under node weights (p, q);
-there its certificate is a fractional perfect matching saturating every
-node weight exactly.
+For a candidate c, the weighted domination graph links voters to candidates
+under node weights (p, q): voter v is linked to candidate c' when v ranks c
+weakly above c'.  Its certificate is a fractional perfect matching that
+saturates every node weight exactly, decided by one exact max-flow on
+n + m + 2 nodes and at most n*m + n + m edges.
+
+The integral domination graph of the paper links voter v to voter v' when v
+ranks c weakly above v''s top choice.  Voters who share a top choice are
+twins on its right side, so grouping them by that choice turns it into the
+weighted graph with p uniform and q the plurality shares.  A perfect
+matching of the voter graph exists iff that grouped graph has a fractional
+perfect matching, and the max-flow finds an integral one: every capacity is
+a multiple of 1/n, so every augmenting path carries a multiple of 1/n.  A
+perfect matching certifies that c's total voter distance is within a factor
+3 of optimal under every metric consistent with the ballots.
 """
 
 from __future__ import annotations
@@ -14,12 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import Election, WeightVector, top
+from ..core import Election, WeightVector, plurality_scores, top
 from ..rules import VetoTrace
-from .matching import RationalMaxFlow, maximum_bipartite_matching
+from .matching import RationalMaxFlow
 
 __all__ = [
-    "DominationGraph",
     "PQDominationGraph",
     "domination_graph",
     "pq_domination_graph",
@@ -28,18 +35,6 @@ __all__ = [
     "is_fractional_perfect_matching",
     "verify_veto_matching",
 ]
-
-
-@dataclass(frozen=True)
-class DominationGraph:
-    """Bipartite graph on voters x voters for a fixed candidate."""
-
-    candidate: int
-    n: int
-    edges: frozenset[tuple[int, int]]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(w for w in range(self.n) if (v, w) in self.edges)
 
 
 @dataclass(frozen=True)
@@ -52,15 +47,12 @@ class PQDominationGraph:
     edges: frozenset[tuple[int, int]]
 
 
-def domination_graph(e: Election, c: int) -> DominationGraph:
-    """Edge (v, v') iff voter v ranks c weakly above the top choice of v'."""
-    edges = frozenset(
-        (v, w)
-        for v in range(e.n)
-        for w in range(e.n)
-        if e.weakly_prefers(v, c, top(e, w))
+def domination_graph(e: Election, c: int) -> PQDominationGraph:
+    """The integral domination graph of c with voters grouped by top choice:
+    uniform voter weights and plurality shares as candidate weights."""
+    return pq_domination_graph(
+        e, c, WeightVector.uniform(e.n), WeightVector.from_counts(plurality_scores(e))
     )
-    return DominationGraph(c, e.n, edges)
 
 
 def pq_domination_graph(
@@ -79,14 +71,21 @@ def pq_domination_graph(
 
 
 def has_perfect_matching(
-    g: DominationGraph,
+    g: PQDominationGraph,
 ) -> tuple[bool, dict[int, int] | None]:
-    """Whether the domination graph has a perfect matching; returns one if so."""
-    adjacency = {v: g.neighbors(v) for v in range(g.n)}
-    matching = maximum_bipartite_matching(adjacency)
-    if len(matching) == g.n:
-        return True, matching
-    return False, None
+    """Whether a graph from :func:`domination_graph` has a perfect matching.
+
+    If so, also returns one as voter -> candidate, in which each candidate c'
+    receives exactly plurality(c') voters: pairing them with the voters who
+    top c' gives a perfect matching of the voter-by-voter graph.
+    """
+    flow = fractional_perfect_matching(g)
+    if flow is None:
+        return False, None
+    share = g.p[0]
+    # integral flow: each voter sends its whole weight 1/n to one candidate
+    assert all(amount == share for amount in flow.values())
+    return True, {v: c for v, c in flow}
 
 
 def fractional_perfect_matching(
@@ -137,7 +136,7 @@ def is_fractional_perfect_matching(
 
 def verify_veto_matching(e: Election, trace: VetoTrace) -> bool:
     """Check that a veto run's cancellation pairing is a perfect matching of
-    the winner's domination graph."""
+    the winner's voter-by-voter domination graph, one pair at a time."""
     if len(trace.rounds) != e.n:
         raise ValueError(
             f"trace has {len(trace.rounds)} rounds for an election with {e.n} voters"
@@ -149,5 +148,6 @@ def verify_veto_matching(e: Election, trace: VetoTrace) -> bool:
         pairing[r.voter] = r.paired_voter
     if len(pairing) != e.n or len(set(pairing.values())) != e.n:
         return False
-    g = domination_graph(e, trace.winner)
-    return all((v, w) in g.edges for v, w in pairing.items())
+    return all(
+        e.weakly_prefers(v, trace.winner, top(e, w)) for v, w in pairing.items()
+    )

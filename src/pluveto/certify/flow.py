@@ -26,13 +26,11 @@ from ..rules import VetoTrace, scores_after, validate_trace
 __all__ = [
     "Node",
     "Edge",
-    "FlowNetwork",
     "FlowAssignment",
     "FlowError",
     "FlowCheck",
     "DualSolution",
     "DualReport",
-    "build_flow_network",
     "construct_flow",
     "verify_flow",
     "dual_from_flow",
@@ -48,57 +46,12 @@ class FlowError(ValueError):
     """A structural or conservation defect, pinpointed to a node or edge."""
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
-    election: Election
-
-    @property
-    def n(self) -> int:
-        return self.election.n
-
-    @property
-    def m(self) -> int:
-        return self.election.m
-
-    @property
-    def node_count(self) -> int:
-        return self.n * self.m
-
-    @property
-    def preference_edge_count(self) -> int:
-        return self.n * self.m * (self.m - 1) // 2
-
-    @property
-    def sideways_edge_count(self) -> int:
-        return self.m * self.n * (self.n - 1)
-
-    def is_preference_edge(self, tail: Node, head: Node) -> bool:
-        return tail[0] == head[0] and self.election.prefers(tail[0], tail[1], head[1])
-
-    def is_sideways_edge(self, tail: Node, head: Node) -> bool:
-        return tail[1] == head[1] and tail[0] != head[0]
-
-    def is_edge(self, tail: Node, head: Node) -> bool:
-        return self.is_preference_edge(tail, head) or self.is_sideways_edge(tail, head)
-
-    def preference_edges(self):
-        """All (v, c) -> (v, c') pairs with c ranked above c'; no reduction is
-        applied even when a longer path exists."""
-        for v, ranking in enumerate(self.election.rankings):
-            for i, c in enumerate(ranking):
-                for c2 in ranking[i + 1 :]:
-                    yield (v, c), (v, c2)
-
-    def sideways_edges(self):
-        for c in range(self.m):
-            for v in range(self.n):
-                for v2 in range(self.n):
-                    if v != v2:
-                        yield (v, c), (v2, c)
+def _is_preference_edge(e: Election, tail: Node, head: Node) -> bool:
+    return tail[0] == head[0] and e.prefers(tail[0], tail[1], head[1])
 
 
-def build_flow_network(e: Election) -> FlowNetwork:
-    return FlowNetwork(e)
+def _is_sideways_edge(tail: Node, head: Node) -> bool:
+    return tail[1] == head[1] and tail[0] != head[0]
 
 
 @dataclass(frozen=True)
@@ -121,7 +74,7 @@ class FlowCheck:
 
 
 def verify_flow(
-    net: FlowNetwork,
+    e: Election,
     g: FlowAssignment,
     w: WeightVector | None = None,
     cstar: int | None = None,
@@ -135,7 +88,7 @@ def verify_flow(
     """
     w = g.w if w is None else w
     cstar = g.cstar if cstar is None else cstar
-    n, m = net.n, net.m
+    n, m = e.n, e.m
     if len(w) != m:
         raise FlowError(f"w has {len(w)} entries for {m} candidates")
     if not 0 <= cstar < m:
@@ -148,11 +101,12 @@ def verify_flow(
             raise FlowError(f"negative flow {amount} on edge {tail}->{head}")
         if not (0 <= tail[0] < n and 0 <= head[0] < n and 0 <= tail[1] < m and 0 <= head[1] < m):
             raise FlowError(f"edge {tail}->{head} leaves the node grid")
-        if not net.is_edge(tail, head):
+        sideways = _is_sideways_edge(tail, head)
+        if not (sideways or _is_preference_edge(e, tail, head)):
             raise FlowError(f"flow on nonexistent edge {tail}->{head}")
         outflow[tail] = outflow.get(tail, Fraction(0)) + amount
         inflow[head] = inflow.get(head, Fraction(0)) + amount
-        if net.is_sideways_edge(tail, head) and tail[1] != cstar:
+        if sideways and tail[1] != cstar:
             sideways_row[tail[0]] += amount
             sideways_row[head[0]] += amount
     zero = Fraction(0)
@@ -269,28 +223,26 @@ class DualReport:
 
 
 def dual_from_flow(
-    net: FlowNetwork,
-    g: FlowAssignment,
-    cstar: int | None = None,
+    e: Election, g: FlowAssignment, check: FlowCheck
 ) -> tuple[DualSolution, DualReport]:
     """Translate a valid flow into dual multipliers and check feasibility.
 
-    The report evaluates both dual constraint families with exact
+    ``check`` is the result of :func:`verify_flow` on ``g``; its cost becomes
+    alpha.  The report evaluates both dual constraint families with exact
     arithmetic: one inequality per voter against alpha, and one per
     (voter, candidate != c*) that reduces to zero net flow at that node.
     An infeasible report signals a defect in the flow or the translation.
     """
-    cstar = g.cstar if cstar is None else cstar
-    check = verify_flow(net, g, g.w, cstar)
+    cstar = g.cstar
     alpha = check.cost
     w = g.w
-    n, m = net.n, net.m
+    n, m = e.n, e.m
     consistency: dict[tuple[int, int, int], Fraction] = {}
     triangle: dict[tuple[int, int, int, int], Fraction] = {}
     for (tail, head), amount in g.flows.items():
         if amount == 0:
             continue
-        if net.is_preference_edge(tail, head):
+        if _is_preference_edge(e, tail, head):
             consistency[(tail[0], tail[1], head[1])] = amount
         else:
             triangle[(tail[0], head[0], tail[1], cstar)] = amount
@@ -360,8 +312,10 @@ def format_flow(g: FlowAssignment) -> str:
 
 
 def parse_flow(text: str) -> dict[Edge, Fraction]:
-    """Parse the edge-list format; amounts may be fractions or decimals."""
+    """Parse the edge-list format; amounts may be fractions or decimals.
+    An edge given twice is rejected, naming both lines."""
     flows: dict[Edge, Fraction] = {}
+    first_line: dict[Edge, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -374,5 +328,12 @@ def parse_flow(text: str) -> dict[Edge, Fraction]:
             amount = Fraction(match.group(5))
         except (ValueError, ZeroDivisionError):
             raise FlowError(f"line {lineno}: bad amount {match.group(5)!r}")
-        flows[((v, c), (v2, c2))] = amount
+        edge = ((v, c), (v2, c2))
+        if edge in first_line:
+            raise FlowError(
+                f"line {lineno}: edge ({v},{c})->({v2},{c2}) repeats line "
+                f"{first_line[edge]}"
+            )
+        first_line[edge] = lineno
+        flows[edge] = amount
     return flows

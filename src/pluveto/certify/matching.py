@@ -1,130 +1,95 @@
-"""Bipartite matching and exact-rational max-flow primitives.
+"""Exact-rational max-flow, the one primitive behind every matching check.
 
-The integral matcher is an augmenting-path search in the Hopcroft-Karp
-style (BFS layering + DFS augmentation).  The fractional feasibility check
-runs shortest-augmenting-path max-flow over ``fractions.Fraction``
-capacities, so saturation tests are exact and never drift.
+Capacities are given as ``fractions.Fraction`` values.  The network keeps
+them as Python ints over a common scale, the least common multiple of every
+denominator added so far, so shortest-augmenting-path max-flow (Edmonds-Karp)
+runs on integers.  Saturation tests are exact and never drift, and flows are
+reported back as exact Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from fractions import Fraction
-from typing import Hashable, Mapping, Sequence
 
-__all__ = ["maximum_bipartite_matching", "RationalMaxFlow"]
-
-_INF = -1
-
-
-def maximum_bipartite_matching(
-    adjacency: Mapping[Hashable, Sequence[Hashable]],
-) -> dict:
-    """Maximum matching of a bipartite graph given as left -> right adjacency.
-
-    Returns a dict mapping matched left nodes to their right partners.
-    Iteration order of ``adjacency`` fixes the result deterministically.
-    """
-    lefts = list(adjacency)
-    pair_left: dict = {}
-    pair_right: dict = {}
-    dist: dict = {}
-
-    def bfs() -> bool:
-        queue: deque = deque()
-        for u in lefts:
-            if u not in pair_left:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _INF
-        reachable_free = False
-        while queue:
-            u = queue.popleft()
-            for w in adjacency[u]:
-                mate = pair_right.get(w)
-                if mate is None:
-                    reachable_free = True
-                elif dist[mate] == _INF:
-                    dist[mate] = dist[u] + 1
-                    queue.append(mate)
-        return reachable_free
-
-    def dfs(u) -> bool:
-        for w in adjacency[u]:
-            mate = pair_right.get(w)
-            if mate is None or (dist[mate] == dist[u] + 1 and dfs(mate)):
-                pair_left[u] = w
-                pair_right[w] = u
-                return True
-        dist[u] = _INF
-        return False
-
-    while bfs():
-        for u in lefts:
-            if u not in pair_left:
-                dfs(u)
-    return pair_left
+__all__ = ["RationalMaxFlow"]
 
 
 class RationalMaxFlow:
-    """Max-flow network with exact rational capacities (Edmonds-Karp)."""
+    """Max-flow network with exact rational capacities (Edmonds-Karp).
+
+    Edge records come in pairs: record ``i`` and its reverse ``i ^ 1``, with
+    forward edges at even indices.  ``_cap`` holds residual capacities in
+    units of ``1 / _scale``.
+    """
 
     def __init__(self):
-        self._adj: dict = {}
-        # edge store: [to, capacity, index of reverse edge record]
-        self._edges: list[list] = []
+        self._index: dict = {}
+        self._adj: list[list[int]] = []
+        self._head: list[int] = []
+        self._cap: list[int] = []
+        self._scale = 1
 
     def add_node(self, node) -> None:
-        self._adj.setdefault(node, [])
+        if node not in self._index:
+            self._index[node] = len(self._adj)
+            self._adj.append([])
 
     def add_edge(self, u, v, capacity: Fraction) -> None:
+        capacity = Fraction(capacity)
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
+        den = capacity.denominator
+        if self._scale % den:
+            factor = den // math.gcd(self._scale, den)
+            self._cap = [c * factor for c in self._cap]
+            self._scale *= factor
         self.add_node(u)
         self.add_node(v)
-        self._adj[u].append(len(self._edges))
-        self._edges.append([v, Fraction(capacity), None, u])
-        self._adj[v].append(len(self._edges))
-        self._edges.append([u, Fraction(0), None, v])
-        self._edges[-2][2] = len(self._edges) - 1
-        self._edges[-1][2] = len(self._edges) - 2
+        iu, iv = self._index[u], self._index[v]
+        self._adj[iu].append(len(self._head))
+        self._head.append(iv)
+        self._cap.append(capacity.numerator * (self._scale // den))
+        self._adj[iv].append(len(self._head))
+        self._head.append(iu)
+        self._cap.append(0)
 
     def max_flow(self, source, sink) -> Fraction:
-        total = Fraction(0)
+        s, t = self._index[source], self._index[sink]
+        adj, head, cap = self._adj, self._head, self._cap
+        total = 0
         while True:
-            parent_edge: dict = {source: None}
-            queue = deque([source])
-            while queue and sink not in parent_edge:
+            via: list = [None] * len(adj)  # edge record that reached each node
+            via[s] = -1
+            queue = deque([s])
+            while queue and via[t] is None:
                 u = queue.popleft()
-                for ei in self._adj[u]:
-                    to, cap, _, _ = self._edges[ei]
-                    if cap > 0 and to not in parent_edge:
-                        parent_edge[to] = ei
-                        queue.append(to)
-            if sink not in parent_edge:
-                return total
-            # bottleneck along the BFS path
-            bottleneck = None
-            node = sink
-            while parent_edge[node] is not None:
-                ei = parent_edge[node]
-                cap = self._edges[ei][1]
-                bottleneck = cap if bottleneck is None else min(bottleneck, cap)
-                node = self._edges[ei][3]
-            node = sink
-            while parent_edge[node] is not None:
-                ei = parent_edge[node]
-                self._edges[ei][1] -= bottleneck
-                self._edges[self._edges[ei][2]][1] += bottleneck
-                node = self._edges[ei][3]
+                for ei in adj[u]:
+                    w = head[ei]
+                    if cap[ei] > 0 and via[w] is None:
+                        via[w] = ei
+                        queue.append(w)
+            if via[t] is None:
+                return Fraction(total, self._scale)
+            path = []
+            node = t
+            while node != s:
+                ei = via[node]
+                path.append(ei)
+                node = head[ei ^ 1]
+            bottleneck = min(cap[ei] for ei in path)
+            for ei in path:
+                cap[ei] -= bottleneck
+                cap[ei ^ 1] += bottleneck
             total += bottleneck
 
     def flow_on(self, u, v) -> Fraction:
         """Net flow currently routed on the (first) edge u -> v."""
-        for ei in self._adj.get(u, []):
-            to = self._edges[ei][0]
-            if to == v and self._edges[ei][2] > ei:
-                # forward edge: flow = residual capacity of its reverse record
-                return self._edges[self._edges[ei][2]][1]
+        iu, iv = self._index.get(u), self._index.get(v)
+        if iu is not None:
+            for ei in self._adj[iu]:
+                if ei % 2 == 0 and self._head[ei] == iv:
+                    # forward edge: flow = residual capacity of its reverse record
+                    return Fraction(self._cap[ei ^ 1], self._scale)
         return Fraction(0)

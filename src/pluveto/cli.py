@@ -32,7 +32,6 @@ from .certify.domination import (
 from .certify.flow import (
     FlowAssignment,
     FlowError,
-    build_flow_network,
     construct_flow,
     dual_from_flow,
     format_flow,
@@ -288,7 +287,6 @@ def _cmd_flow(args) -> int:
     if not 0 <= args.cstar < e.m:
         raise CliError(f"--cstar out of range 0..{e.m - 1}")
     order = _parse_order(args.order, e.n)
-    net = build_flow_network(e)
     w = randomized_veto(e, args.k, order)
     if args.verify:
         try:
@@ -299,14 +297,14 @@ def _cmd_flow(args) -> int:
     else:
         assignment = construct_flow(e, plurality_veto(e, order), args.k, args.cstar)
     try:
-        check = verify_flow(net, assignment, w, args.cstar)
+        check = verify_flow(e, assignment, w, args.cstar)
     except FlowError as exc:
         print(f"FAIL flow-verification: {exc}")
         return 1
     for v, cost in enumerate(check.per_voter_costs):
         print(f"voter {v}: cost {_fraction_str(cost)}")
     print(f"cost: {_fraction_str(check.cost)}")
-    _, dual_report = dual_from_flow(net, assignment, args.cstar)
+    _, dual_report = dual_from_flow(e, assignment, check)
     print(f"{'PASS' if dual_report.feasible else 'FAIL'} dual-feasibility "
           f"(objective {_fraction_str(dual_report.objective)})")
     if args.out:

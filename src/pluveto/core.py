@@ -183,6 +183,8 @@ class WeightVector:
     @classmethod
     def from_counts(cls, counts: Sequence[int]) -> "WeightVector":
         total = sum(counts)
+        if total <= 0:
+            raise ValueError(f"counts must have a positive total, got {total}")
         return cls(tuple(Fraction(c, total) for c in counts))
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "q_cost",
     "q_social_cost",
     "committee_rank_key",
-    "committee_compare",
     "committee_select",
     "top_prefix_committees",
     "induced_committee_election",
@@ -304,20 +303,6 @@ def committee_rank_key(e: Election, v: int, committee: Committee, q: int):
     pos = e.positions[v]
     qth = sorted(pos[c] for c in committee.members)[q - 1]
     return (qth, committee.members)
-
-
-def committee_compare(
-    e: Election, v: int, first: Committee, second: Committee, q: int
-) -> Committee:
-    """The committee voter v prefers, comparing q-th favorite members and
-    breaking ties toward the lexicographically smaller member tuple."""
-    if len(first) != len(second):
-        raise ValueError("committees must have equal size")
-    if not 1 <= q <= len(first):
-        raise ValueError(f"q must be in 1..{len(first)}, got {q}")
-    ka = committee_rank_key(e, v, first, q)
-    kb = committee_rank_key(e, v, second, q)
-    return first if ka <= kb else second
 
 
 def top_prefix_committees(e: Election, k: int) -> tuple[Committee, ...]:

@@ -23,7 +23,6 @@ from pluveto.certify.domination import (
 )
 from pluveto.certify.flow import (
     FlowAssignment,
-    build_flow_network,
     construct_flow,
     dual_from_flow,
     verify_flow,
@@ -108,11 +107,10 @@ def test_criterion_1_exhaustive_small_elections():
 
 def test_criterion_2_reference_flow_costs_exact():
     e = Election(DEMO_RANKINGS)
-    net = build_flow_network(e)
     g = FlowAssignment(
         dict(REFERENCE_FLOW), WeightVector(REFERENCE_FLOW_W), REFERENCE_FLOW_CSTAR
     )
-    check = verify_flow(net, g)
+    check = verify_flow(e, g)
     assert check.per_voter_costs == REFERENCE_FLOW_COSTS
     assert check.cost == F(3)
     _report(2, "per-voter costs (4/3, 3, 8/3, 1) and overall cost 3, exact")
@@ -158,14 +156,13 @@ def flow_lp_suite():
         e = random_election(rng, n, m)
         order = tuple(rng.sample(range(n), n))
         trace = plurality_veto(e, order)
-        net = build_flow_network(e)
         for k in range(n):
             w = randomized_veto(e, k, order)
             per_cstar = []
             for cstar in range(m):
                 g = construct_flow(e, trace, k, cstar)
-                check = verify_flow(net, g)
-                _, dual_report = dual_from_flow(net, g)
+                check = verify_flow(e, g)
+                _, dual_report = dual_from_flow(e, g, check)
                 lp = worst_case_distortion(e, w, cstar)
                 per_cstar.append(
                     (check.cost, dual_report.feasible, dual_report.objective,

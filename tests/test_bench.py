@@ -3,8 +3,6 @@ import random
 import pytest
 
 from pluveto.bench import (
-    EuclideanPopulation,
-    sample_population,
     ExperimentConfig,
     adaptive_peer_veto,
     adaptive_winner_set,
@@ -54,20 +52,10 @@ class TestGenerateEuclidean:
             dists = [d[v][c] for c in e.rankings[v]]
             assert dists == sorted(dists)
 
-    def test_population_exposes_embedding(self):
-        population = sample_population(4, 3, 2, "uniform", 12)
-        assert len(population.voters) == 4
-        assert len(population.candidates) == 3
-        assert all(len(p) == 2 for p in population.voters)
-        e, d = generate_euclidean(4, 3, 2, "uniform", 12)
-        assert population.election() == e
-        assert population.metric().d == d.d
-
     def test_index_breaks_distance_ties(self):
-        population = EuclideanPopulation(
-            1, voters=((0.0,),), candidates=((1.0,), (-1.0,), (1.0,)), seed=0
-        )
-        assert population.election().rankings == ((0, 1, 2),)
+        # agent 0 is equidistant from agents 1 and 2; the lower index wins
+        e, _, _ = peer_selection([0.0, 1.0, -1.0])
+        assert e.rankings[0] == (0, 1, 2)
 
 
 class TestPeerSelection:

@@ -205,6 +205,16 @@ class TestFlow:
         assert code == 1
         assert "FAIL flow-verification" in out
 
+    def test_repeated_edge_is_an_input_error(self, ballots, tmp_path, capsys):
+        path = tmp_path / "repeated.flow"
+        path.write_text("(0,0)->(0,1): 1/4\n(0,0)->(0,1): 1/4\n")
+        code, _, err = run_cli(
+            capsys, "flow", ballots, "--k", "1", "--cstar", "3",
+            "--verify", str(path),
+        )
+        assert code == 1
+        assert "line 2" in err and "repeats line 1" in err
+
 
 class TestCommittee:
     def test_select(self, ballots, capsys):

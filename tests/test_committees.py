@@ -7,7 +7,6 @@ from pluveto.bench import generate_euclidean
 from pluveto.core import Election
 from pluveto.rules import (
     Committee,
-    committee_compare,
     committee_rank_key,
     committee_select,
     induced_committee_election,
@@ -61,9 +60,7 @@ def committee_distance(d, first, second, q, n):
 
 
 class TestCommitteeCompare:
-    def test_identical_committees_tie_to_first(self, demo):
-        k = Committee((0, 1))
-        assert committee_compare(demo, 0, k, Committee((0, 1)), 2) is k
+    """Voters compare equal-size committees through committee_rank_key."""
 
     def test_singletons_reduce_to_ranking(self, demo):
         for v in range(demo.n):
@@ -71,11 +68,9 @@ class TestCommitteeCompare:
                 for b in range(demo.m):
                     if a == b:
                         continue
-                    preferred = committee_compare(
-                        demo, v, Committee((a,)), Committee((b,)), 1
-                    )
-                    expected = a if demo.prefers(v, a, b) else b
-                    assert preferred.members == (expected,)
+                    first = committee_rank_key(demo, v, Committee((a,)), 1)
+                    second = committee_rank_key(demo, v, Committee((b,)), 1)
+                    assert (first < second) == demo.prefers(v, a, b)
 
     def test_demo_shared_qth_favorite(self, demo):
         first = Committee((0, 2))
@@ -84,11 +79,9 @@ class TestCommitteeCompare:
         # to the lexicographically smaller member tuple
         assert committee_rank_key(demo, 0, first, 2)[0] == 2
         assert committee_rank_key(demo, 0, second, 2)[0] == 2
-        assert committee_compare(demo, 0, first, second, 2) == first
-
-    def test_size_mismatch_rejected(self, demo):
-        with pytest.raises(ValueError):
-            committee_compare(demo, 0, Committee((0,)), Committee((0, 1)), 1)
+        assert committee_rank_key(demo, 0, first, 2) < committee_rank_key(
+            demo, 0, second, 2
+        )
 
 
 class TestCommitteeSelect:

@@ -167,3 +167,7 @@ class TestWeightVector:
     def test_from_counts(self):
         w = WeightVector.from_counts((2, 1, 0, 1))
         assert [str(x) for x in w] == ["1/2", "1/4", "0", "1/4"]
+
+    def test_from_counts_rejects_zero_total(self):
+        with pytest.raises(ValueError, match="positive total"):
+            WeightVector.from_counts([0, 0])

@@ -29,6 +29,25 @@ def brute_force_edges(e, c):
     return edges
 
 
+def grouped_edges(e, c):
+    """The voter-by-voter relation read back off the grouped graph: (v, w)
+    is an edge iff v's row reaches w's top choice."""
+    g = domination_graph(e, c)
+    return {
+        (v, w) for v in range(e.n) for w in range(e.n) if (v, top(e, w)) in g.edges
+    }
+
+
+def hall_holds(e, c):
+    """Hall's condition on the voter-by-voter relation, by brute force."""
+    edges = brute_force_edges(e, c)
+    return all(
+        len({w for (u, w) in edges if u in subset}) >= len(subset)
+        for size in range(1, e.n + 1)
+        for subset in map(set, combinations(range(e.n), size))
+    )
+
+
 class TestDominationGraph:
     def test_unanimous_top_is_complete(self):
         e = Election(tuple(((1, 0, 2),) * 3))
@@ -37,14 +56,15 @@ class TestDominationGraph:
 
     def test_matches_brute_force_on_demo(self, demo):
         for c in range(demo.m):
-            assert domination_graph(demo, c).edges == brute_force_edges(demo, c)
+            assert grouped_edges(demo, c) == brute_force_edges(demo, c)
 
     def test_matches_brute_force_random(self):
         rng = random.Random(2)
         for _ in range(80):
             e = random_election(rng, rng.randint(1, 6), rng.randint(1, 5))
             c = rng.randrange(e.m)
-            assert domination_graph(e, c).edges == brute_force_edges(e, c)
+            assert grouped_edges(e, c) == brute_force_edges(e, c)
+            assert len(domination_graph(e, c).edges) <= e.n * e.m
 
     def test_edge_to_voters_topping_candidate(self):
         rng = random.Random(9)
@@ -53,36 +73,50 @@ class TestDominationGraph:
             c = rng.randrange(e.m)
             g = domination_graph(e, c)
             for v in range(e.n):
-                for w in range(e.n):
-                    if top(e, w) == c:
-                        assert (v, w) in g.edges
+                assert (v, c) in g.edges
 
 
 class TestPerfectMatching:
     def test_complete_graph(self):
         e = Election(tuple(((0, 1),) * 3))
         ok, matching = has_perfect_matching(domination_graph(e, 0))
-        assert ok and len(matching) == 3
+        assert ok and matching == {0: 0, 1: 0, 2: 0}
 
     def test_isolated_left_node_fails(self, demo):
         # candidate 2 has no first-place votes and sits low in most ballots
-        g = domination_graph(demo, 2)
-        ok, matching = has_perfect_matching(g)
-        hall_violated = any(
-            len(set().union(*(g.neighbors(v) for v in subset)))
-            < len(subset)
-            for size in range(1, g.n + 1)
-            for subset in combinations(range(g.n), size)
-        )
-        assert ok == (not hall_violated)
+        ok, matching = has_perfect_matching(domination_graph(demo, 2))
+        assert ok == hall_holds(demo, 2)
+        assert (matching is None) == (not ok)
+
+    def test_agrees_with_hall_on_voter_relation(self):
+        rng = random.Random(41)
+        both = [0, 0]
+        for _ in range(200):
+            e = random_election(rng, rng.randint(1, 6), rng.randint(1, 5))
+            scores = plurality_scores(e)
+            for c in range(e.m):
+                g = domination_graph(e, c)
+                ok, matching = has_perfect_matching(g)
+                assert ok == hall_holds(e, c)
+                both[ok] += 1
+                if not ok:
+                    assert matching is None
+                    continue
+                assert sorted(matching) == list(range(e.n))
+                assert all((v, c2) in g.edges for v, c2 in matching.items())
+                received = [0] * e.m
+                for c2 in matching.values():
+                    received[c2] += 1
+                assert tuple(received) == scores
+        assert min(both) > 50
 
     def test_winner_pairing_is_a_matching(self, demo):
         trace = plurality_veto(demo)
-        ok, _ = has_perfect_matching(domination_graph(demo, trace.winner))
-        assert ok
         g = domination_graph(demo, trace.winner)
+        ok, _ = has_perfect_matching(g)
+        assert ok
         for r in trace.rounds:
-            assert (r.voter, r.paired_voter) in g.edges
+            assert (r.voter, top(demo, r.paired_voter)) in g.edges
 
 
 class TestVerifyVetoMatching:

@@ -7,7 +7,6 @@ from pluveto.core import Election, WeightVector
 from pluveto.certify.flow import (
     FlowAssignment,
     FlowError,
-    build_flow_network,
     construct_flow,
     dual_from_flow,
     format_flow,
@@ -29,100 +28,106 @@ def reference_assignment(demo_w):
     return FlowAssignment(dict(REFERENCE_FLOW), demo_w, REFERENCE_FLOW_CSTAR)
 
 
+def edge_set(e):
+    """Every node pair that verify_flow accepts as an edge of e's network,
+    found by routing one unit along it inside an otherwise empty flow."""
+    nodes = [(v, c) for v in range(e.n) for c in range(e.m)]
+    w = WeightVector.uniform(e.m)
+    edges = set()
+    for tail in nodes:
+        for head in nodes:
+            g = FlowAssignment({(tail, head): F(1)}, w, 0)
+            try:
+                verify_flow(e, g)
+            except FlowError as exc:
+                if "nonexistent edge" in str(exc):
+                    continue
+            edges.add((tail, head))
+    return edges
+
+
 class TestFlowNetwork:
     def test_demo_counts(self, demo):
-        net = build_flow_network(demo)
-        assert net.node_count == 16
-        assert net.preference_edge_count == 24
-        assert net.sideways_edge_count == 48
-        assert len(list(net.preference_edges())) == 24
-        assert len(list(net.sideways_edges())) == 48
+        edges = edge_set(demo)
+        preference = {(t, h) for t, h in edges if t[0] == h[0]}
+        assert len(preference) == 24
+        assert len(edges - preference) == 48
 
     def test_single_voter_has_no_sideways(self):
-        net = build_flow_network(Election(((0, 1, 2),)))
-        assert net.sideways_edge_count == 0
-        assert list(net.sideways_edges()) == []
+        e = Election(((0, 1, 2),))
+        assert all(t[0] == h[0] for t, h in edge_set(e))
 
     def test_single_candidate_has_no_preference(self):
-        net = build_flow_network(Election(((0,), (0,))))
-        assert net.preference_edge_count == 0
-        assert list(net.preference_edges()) == []
+        e = Election(((0,), (0,)))
+        assert edge_set(e) == {((0, 0), (1, 0)), ((1, 0), (0, 0))}
 
     def test_edge_predicates(self, demo):
-        net = build_flow_network(demo)
-        assert net.is_preference_edge((1, 0), (1, 2))
-        assert not net.is_preference_edge((1, 2), (1, 0))
-        assert net.is_sideways_edge((0, 2), (3, 2))
-        assert not net.is_sideways_edge((0, 2), (0, 2))
-        assert not net.is_edge((0, 0), (1, 1))
+        edges = edge_set(demo)
+        assert ((1, 0), (1, 2)) in edges
+        assert ((1, 2), (1, 0)) not in edges
+        assert ((0, 2), (3, 2)) in edges
+        assert ((0, 2), (0, 2)) not in edges
+        assert ((0, 0), (1, 1)) not in edges
 
 
 class TestVerifyFlow:
     def test_reference_costs_exact(self, demo, reference_assignment):
-        net = build_flow_network(demo)
-        check = verify_flow(net, reference_assignment)
+        check = verify_flow(demo, reference_assignment)
         assert check.per_voter_costs == REFERENCE_FLOW_COSTS
         assert check.cost == F(3)
 
     def test_tiny_self_absorbing_instance(self):
         e = Election(((0,),))
-        net = build_flow_network(e)
         g = FlowAssignment({}, WeightVector.point_mass(0, 1), 0)
-        check = verify_flow(net, g)
+        check = verify_flow(e, g)
         assert check.per_voter_costs == (F(1),)
         assert check.cost == F(1)
 
     def test_sideways_cycle_raises_cost_both_ways(self, demo, demo_w,
                                                   reference_assignment):
-        net = build_flow_network(demo)
-        base = verify_flow(net, reference_assignment)
+        base = verify_flow(demo, reference_assignment)
         flows = dict(REFERENCE_FLOW)
         flows[((0, 0), (1, 0))] = flows.get(((0, 0), (1, 0)), F(0)) + 1
         flows[((1, 0), (0, 0))] = flows.get(((1, 0), (0, 0)), F(0)) + 1
         cycled = FlowAssignment(flows, demo_w, REFERENCE_FLOW_CSTAR)
-        check = verify_flow(net, cycled)
+        check = verify_flow(demo, cycled)
         assert check.per_voter_costs[0] == base.per_voter_costs[0] + 2
         assert check.per_voter_costs[1] == base.per_voter_costs[1] + 2
 
     def test_missing_edge_reported(self, demo, demo_w):
-        net = build_flow_network(demo)
         g = FlowAssignment({((0, 3), (0, 0)): F(1)}, demo_w, 3)
         with pytest.raises(FlowError, match="nonexistent edge"):
-            verify_flow(net, g)
+            verify_flow(demo, g)
 
     def test_negative_flow_reported(self, demo, demo_w):
-        net = build_flow_network(demo)
         g = FlowAssignment({((0, 0), (0, 1)): F(-1)}, demo_w, 3)
         with pytest.raises(FlowError, match="negative flow"):
-            verify_flow(net, g)
+            verify_flow(demo, g)
 
     def test_conservation_violation_pinpointed(self, demo, demo_w,
                                                reference_assignment):
-        net = build_flow_network(demo)
         flows = dict(REFERENCE_FLOW)
         flows[((0, 0), (0, 1))] += F(1, 2)  # voter 0 now over-drains node (0,0)
         broken = FlowAssignment(flows, demo_w, REFERENCE_FLOW_CSTAR)
         with pytest.raises(FlowError, match=r"node \(0, 0\)"):
-            verify_flow(net, broken)
+            verify_flow(demo, broken)
 
     def test_absorbing_column_cannot_emit(self, demo):
-        net = build_flow_network(demo)
         w = WeightVector.point_mass(3, 4)
         g = FlowAssignment({((0, 3), (1, 3)): F(2)}, w, 3)
         with pytest.raises(FlowError, match="emits"):
-            verify_flow(net, g)
+            verify_flow(demo, g)
 
 
 class TestConstructFlow:
     def test_demo_all_rounds_and_references(self, demo):
-        net = build_flow_network(demo)
         trace = plurality_veto(demo)
         for k in range(demo.n):
             w = randomized_veto(demo, k)
             for cstar in range(demo.m):
                 g = construct_flow(demo, trace, k, cstar)
                 assert g.w.entries == w.entries
-                check = verify_flow(net, g)
+                check = verify_flow(demo, g)
                 assert check.cost <= 3
 
     def test_point_mass_flow(self, demo):
@@ -130,13 +135,13 @@ class TestConstructFlow:
         trace = plurality_veto(demo)
         g = construct_flow(demo, trace, demo.n - 1, 2)
         assert g.w.support == {trace.winner}
-        check = verify_flow(build_flow_network(demo), g)
+        check = verify_flow(demo, g)
         assert check.cost <= 3
 
     def test_cstar_equals_winner_stays_valid(self, demo):
         trace = plurality_veto(demo)
         g = construct_flow(demo, trace, 1, trace.winner)
-        check = verify_flow(build_flow_network(demo), g)
+        check = verify_flow(demo, g)
         assert check.cost <= 3
 
     def test_no_sideways_flow_in_absorbing_column(self):
@@ -148,11 +153,10 @@ class TestConstructFlow:
             k = rng.randint(0, e.n - 1)
             cstar = rng.randrange(e.m)
             g = construct_flow(e, trace, k, cstar)
-            net = build_flow_network(e)
             for (tail, head), amount in g.flows.items():
-                if net.is_sideways_edge(tail, head):
+                if tail[0] != head[0]:
                     assert tail[1] != cstar
-            assert verify_flow(net, g).cost <= 3
+            assert verify_flow(e, g).cost <= 3
 
     def test_inconsistent_trace_rejected(self, demo):
         other = Election(((1, 0, 2, 3), (2, 1, 3, 0), (0, 1, 2, 3), (3, 2, 1, 0)))
@@ -168,8 +172,9 @@ class TestConstructFlow:
 
 class TestDualFromFlow:
     def test_reference_flow_feasible_alpha_three(self, demo, reference_assignment):
-        net = build_flow_network(demo)
-        solution, report = dual_from_flow(net, reference_assignment)
+        solution, report = dual_from_flow(
+            demo, reference_assignment, verify_flow(demo, reference_assignment)
+        )
         assert report.feasible
         assert solution.alpha == F(3)
         assert report.objective == F(3)
@@ -183,24 +188,23 @@ class TestDualFromFlow:
             k = rng.randint(0, e.n - 1)
             cstar = rng.randrange(e.m)
             g = construct_flow(e, trace, k, cstar)
-            net = build_flow_network(e)
-            check = verify_flow(net, g)
-            solution, report = dual_from_flow(net, g)
+            check = verify_flow(e, g)
+            solution, report = dual_from_flow(e, g, check)
             assert report.feasible
             assert report.objective == check.cost <= 3
             assert report.voter_totals == check.per_voter_costs
 
     def test_all_zero_flow_on_cstar_point_mass(self, demo):
-        net = build_flow_network(demo)
         w = WeightVector.point_mass(3, 4)
         g = FlowAssignment({}, w, 3)
-        solution, report = dual_from_flow(net, g)
+        solution, report = dual_from_flow(demo, g, verify_flow(demo, g))
         assert report.feasible
         assert report.objective == F(1)
 
     def test_multipliers_mirror_flow(self, demo, reference_assignment):
-        net = build_flow_network(demo)
-        solution, _ = dual_from_flow(net, reference_assignment)
+        solution, _ = dual_from_flow(
+            demo, reference_assignment, verify_flow(demo, reference_assignment)
+        )
         assert solution.consistency[(0, 0, 1)] == F(2, 3)
         assert solution.triangle[(2, 1, 0, REFERENCE_FLOW_CSTAR)] == F(2, 3)
         assert len(solution.consistency) + len(solution.triangle) == len(
@@ -225,3 +229,8 @@ class TestFlowSerialization:
 
     def test_comments_ignored(self):
         assert parse_flow("# empty\n\n") == {}
+
+    def test_repeated_edge_names_both_lines(self):
+        text = "(0,0)->(0,1): 1/4\n# comment\n(1,0)->(1,2): 1\n(0,0) -> (0,1): 1/2\n"
+        with pytest.raises(FlowError, match=r"line 4: .*\(0,0\)->\(0,1\).* line 1"):
+            parse_flow(text)
