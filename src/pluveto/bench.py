@@ -209,8 +209,10 @@ class ExperimentConfig:
         for rule in self.rules:
             if rule not in _KNOWN_RULES and not _RULE_RE.match(rule):
                 raise ValueError(f"unknown rule name {rule!r}")
-        if self.instances < 1 or self.voters < 1 or self.candidates < 1:
-            raise ValueError("instances, voters and candidates must be positive")
+        if min(self.instances, self.voters, self.candidates, self.dim) < 1:
+            raise ValueError("instances, voters, candidates and dim must be positive")
+        if self.distribution not in ("uniform", "gaussian"):
+            raise ValueError(f"unknown distribution {self.distribution!r}")
         if "committee_select" in self.rules:
             k, q = self.committee_size, self.committee_rank
             if not 1 <= k <= self.candidates:
@@ -269,8 +271,10 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Flat ``key = value`` lines; ``#`` starts a comment."""
+    """Flat ``key = value`` lines; ``#`` starts a comment.  A key given
+    twice is rejected, naming both lines."""
     values = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -281,6 +285,11 @@ def parse_config(text: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(
+                f"line {lineno}: config key {key!r} repeats line {first_line[key]}"
+            )
+        first_line[key] = lineno
         values[key] = _CONFIG_KEYS[key](value.strip())
     missing = {"rules", "instances", "voters", "candidates"} - values.keys()
     if missing:

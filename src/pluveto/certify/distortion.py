@@ -49,8 +49,8 @@ class DistortionResult:
     value: float
     witness: Metric
     cstar: int
-    pivots: int = 0
-    lazy_rounds: int = 0
+    pivots: int
+    lazy_rounds: int
 
 
 def _ranking_rows(e: Election) -> np.ndarray:

@@ -70,7 +70,6 @@ class FlowAssignment:
 class FlowCheck:
     per_voter_costs: tuple[Fraction, ...]
     cost: Fraction
-    absorbed: tuple[Fraction, ...]
 
 
 def verify_flow(
@@ -110,7 +109,7 @@ def verify_flow(
             sideways_row[tail[0]] += amount
             sideways_row[head[0]] += amount
     zero = Fraction(0)
-    absorbed = []
+    costs = []
     for v in range(n):
         for c in range(m):
             node = (v, c)
@@ -120,18 +119,13 @@ def verify_flow(
                     raise FlowError(
                         f"node {node} emits {-net_in} more than it receives"
                     )
+                costs.append(net_in + sideways_row[v])  # absorbed + sideways
             elif net_in != 0:
                 raise FlowError(
                     f"conservation violated at node {node}: "
                     f"injection + inflow - outflow = {net_in}"
                 )
-        absorbed.append(
-            w[cstar]
-            + inflow.get((v, cstar), zero)
-            - outflow.get((v, cstar), zero)
-        )
-    costs = tuple(absorbed[v] + sideways_row[v] for v in range(n))
-    return FlowCheck(costs, max(costs), tuple(absorbed))
+    return FlowCheck(tuple(costs), max(costs))
 
 
 def construct_flow(

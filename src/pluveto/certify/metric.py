@@ -120,10 +120,21 @@ def metric_to_csv(metric: Metric) -> str:
 
 
 def metric_from_csv(text: str) -> Metric:
+    """Parse :func:`metric_to_csv` output.  A non-numeric entry or a row
+    whose width differs from the first row's raises ValueError naming its
+    line."""
     rows = []
-    for line in text.splitlines():
-        line = line.strip()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append(tuple(float(tok) for tok in line.split(",")))
+        try:
+            row = tuple(float(tok) for tok in line.split(","))
+        except ValueError:
+            raise ValueError(f"line {lineno}: non-numeric entry in {line!r}") from None
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(
+                f"line {lineno}: {len(row)} entries, the first row has {len(rows[0])}"
+            )
+        rows.append(row)
     return Metric(tuple(rows))

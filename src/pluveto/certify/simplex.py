@@ -1,7 +1,11 @@
 """A self-contained dense simplex solver.
 
-Two-phase tableau method over numpy float64.  Pivoting uses Dantzig's rule
-for speed and falls back to Bland's smallest-index rule permanently once the
+Two-phase tableau method over numpy float64 for one problem form: maximize
+c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0, with every
+right-hand side non-negative.  The slack of each <= row and the artificial
+of each equality row then form an identity start basis, and phase 1 runs
+only when there are equality rows.  Pivoting uses Dantzig's rule for speed
+and falls back to Bland's smallest-index rule permanently once the
 objective stalls, which guarantees termination on the highly degenerate
 programs this package produces (most right-hand sides are zero).
 """
@@ -33,79 +37,48 @@ class LPResult:
     iterations: int
 
 
+def _block(A, b, nvars: int) -> tuple[np.ndarray, np.ndarray]:
+    if A is None or not len(A):
+        return np.zeros((0, nvars)), np.zeros(0)
+    return np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+
+
 def linprog_max(
-    c,
-    A_ub=None,
-    b_ub=None,
-    A_eq=None,
-    b_eq=None,
-    *,
-    tol: float = 1e-9,
-    max_iter: int | None = None,
+    c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, *, tol: float = 1e-9
 ) -> LPResult:
-    """Maximize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0."""
+    """Maximize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq, x >= 0.
+
+    Every entry of ``b_ub`` and ``b_eq`` must be non-negative (negate a row
+    to bring it to this form); a negative one raises ValueError.  Equality
+    rows may be redundant.  The pivot budget is 500 * (rows + columns + 1).
+    """
     c = np.asarray(c, dtype=float)
     nvars = c.size
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
-    kinds: list[str] = []  # "le" or "eq" after sign normalization
-    if A_ub is not None and len(A_ub):
-        for a, b in zip(np.asarray(A_ub, dtype=float), np.asarray(b_ub, dtype=float)):
-            if b < 0:
-                rows.append(-a)
-                rhs.append(-b)
-                kinds.append("ge")
-            else:
-                rows.append(a)
-                rhs.append(b)
-                kinds.append("le")
-    if A_eq is not None and len(A_eq):
-        for a, b in zip(np.asarray(A_eq, dtype=float), np.asarray(b_eq, dtype=float)):
-            if b < 0:
-                rows.append(-a)
-                rhs.append(-b)
-            else:
-                rows.append(a)
-                rhs.append(b)
-            kinds.append("eq")
-
-    nrows = len(rows)
-    n_slack = sum(k != "eq" for k in kinds)
-    n_art = sum(k != "le" for k in kinds)
-    ncols = nvars + n_slack + n_art
+    A_ub, b_ub = _block(A_ub, b_ub, nvars)
+    A_eq, b_eq = _block(A_eq, b_eq, nvars)
+    if (b_ub < 0).any() or (b_eq < 0).any():
+        raise ValueError("linprog_max needs non-negative right-hand sides")
+    n_ub = len(A_ub)
+    nrows = n_ub + len(A_eq)
+    art_start = nvars + n_ub
+    ncols = nvars + nrows
+    # structural columns, then one identity block (slacks, then artificials),
+    # then the right-hand side; the bottom row is the objective
     T = np.zeros((nrows + 1, ncols + 1))
-    basis = np.empty(nrows, dtype=int)
-    s = nvars
-    a = nvars + n_slack
-    for i, (row, b, kind) in enumerate(zip(rows, rhs, kinds)):
-        T[i, :nvars] = row
-        T[i, -1] = b
-        if kind == "le":
-            T[i, s] = 1.0
-            basis[i] = s
-            s += 1
-        elif kind == "ge":
-            T[i, s] = -1.0
-            s += 1
-            T[i, a] = 1.0
-            basis[i] = a
-            a += 1
-        else:
-            T[i, a] = 1.0
-            basis[i] = a
-            a += 1
-
-    art_start = nvars + n_slack
+    T[:n_ub, :nvars] = A_ub
+    T[n_ub:nrows, :nvars] = A_eq
+    basis = np.arange(nvars, ncols)
+    T[np.arange(nrows), basis] = 1.0
+    T[:n_ub, -1] = b_ub
+    T[n_ub:nrows, -1] = b_eq
     iterations = 0
-    budget = max_iter if max_iter is not None else 500 * (nrows + ncols + 1)
+    budget = 500 * (nrows + ncols + 1)
 
-    if n_art:
+    if len(A_eq):
         # phase 1: maximize -(artificial total); bottom row holds z_j - c_j
-        T[-1, :] = 0.0
         T[-1, art_start:ncols] = 1.0
-        for i in range(nrows):
-            if basis[i] >= art_start:
-                T[-1] -= T[i]
+        for i in range(n_ub, nrows):
+            T[-1] -= T[i]
         status, iterations = _pivot_loop(
             T, basis, np.arange(ncols), tol, budget, iterations
         )
@@ -114,8 +87,8 @@ def linprog_max(
         if T[-1, -1] < -tol:
             return LPResult(LPStatus.INFEASIBLE, None, None, iterations)
         _evict_artificials(T, basis, art_start, tol)
-        # rows whose artificial could not be evicted are redundant; blank them
-        keep = np.array([basis[i] < art_start for i in range(nrows)])
+        # rows whose artificial could not be evicted are redundant; drop them
+        keep = basis < art_start
         if not keep.all():
             T = np.vstack([T[:-1][keep], T[-1:]])
             basis = basis[keep]
@@ -136,6 +109,18 @@ def linprog_max(
     x = x[:nvars]
     np.clip(x, 0.0, None, out=x)
     return LPResult(LPStatus.OPTIMAL, x, float(c @ x), iterations)
+
+
+def _pivot(T, basis, r, c) -> None:
+    """Make column c basic in row r: scale the row, then clear column c from
+    every other row, the objective included."""
+    T[r] /= T[r, c]
+    column = T[:, c].copy()
+    column[r] = 0.0
+    T -= np.outer(column, T[r])
+    T[:, c] = 0.0
+    T[r, c] = 1.0
+    basis[r] = c
 
 
 def _pivot_loop(T, basis, allowed, tol, budget, iterations):
@@ -165,15 +150,7 @@ def _pivot_loop(T, basis, allowed, tol, budget, iterations):
         pr = int(ties[np.argmin(basis[ties])])  # smallest basic index on ties
 
         before = T[-1, -1]
-        pivot = T[pr, pc]
-        T[pr] /= pivot
-        column = T[:, pc].copy()
-        column[pr] = 0.0
-        T -= np.outer(column, T[pr])
-        T[:, pc] = 0.0
-        T[pr, pc] = 1.0
-        basis[pr] = pc
-
+        _pivot(T, basis, pr, pc)
         iterations += 1
         if iterations > budget:
             return LPStatus.ITERATION_LIMIT, iterations
@@ -186,21 +163,11 @@ def _pivot_loop(T, basis, allowed, tol, budget, iterations):
                 stall = 0
 
 
-def _evict_artificials(T, basis, art_start, tol):
-    """Pivot basic artificial variables out on any usable structural column."""
-    for i in range(len(basis)):
-        if basis[i] < art_start:
-            continue
+def _evict_artificials(T, basis, art_start, tol) -> None:
+    """Pivot basic artificial variables out on any usable structural column;
+    a row with none is redundant and left for the caller to drop."""
+    for i in np.flatnonzero(basis >= art_start):
         row = T[i, :art_start]
         candidates = np.flatnonzero(np.abs(row) > max(tol, 1e-7))
-        if candidates.size == 0:
-            continue  # redundant row, dropped by the caller
-        pc = int(candidates[np.argmax(np.abs(row[candidates]))])
-        pivot = T[i, pc]
-        T[i] /= pivot
-        column = T[:, pc].copy()
-        column[i] = 0.0
-        T -= np.outer(column, T[i])
-        T[:, pc] = 0.0
-        T[i, pc] = 1.0
-        basis[i] = pc
+        if candidates.size:
+            _pivot(T, basis, i, int(candidates[np.argmax(np.abs(row[candidates]))]))

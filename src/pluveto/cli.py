@@ -15,7 +15,13 @@ import sys
 import tempfile
 from fractions import Fraction
 
-from .bench import parse_config, potential_winners, report_to_csv, run_experiment
+from .bench import (
+    EXACT_ORDER_CAP,
+    parse_config,
+    potential_winners,
+    report_to_csv,
+    run_experiment,
+)
 from .certify.distortion import (
     DistortionInputError,
     distortion,
@@ -63,14 +69,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pluveto-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pluveto-")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _read(path: str) -> str:
@@ -184,6 +193,11 @@ def build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     e = _load_election(args.ballots)
     if args.all_orders:
+        if e.n > EXACT_ORDER_CAP:
+            raise CliError(
+                f"--all-orders enumerates every voter order and is capped at "
+                f"n = {EXACT_ORDER_CAP}; {args.ballots} has n = {e.n}"
+            )
         winners = potential_winners(e, "exact")
         print("potential winners:", " ".join(str(c) for c in sorted(winners)))
         return 0

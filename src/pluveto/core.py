@@ -106,10 +106,6 @@ class Election:
         pos = self.positions[v]
         return pos[c] <= pos[c2]
 
-    @classmethod
-    def from_rankings(cls, rankings: Iterable[Sequence[int]]) -> "Election":
-        return cls(tuple(tuple(r) for r in rankings))
-
 
 def top(e: Election, v: int) -> int:
     """The top choice of voter v."""

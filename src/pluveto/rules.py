@@ -60,10 +60,6 @@ class VetoTrace:
     winner: int
 
     @property
-    def order(self) -> tuple[int, ...]:
-        return tuple(r.voter for r in self.rounds)
-
-    @property
     def pairing(self) -> tuple[int, ...]:
         """paired voter per round, i.e. the matching round-voter -> canceled voter."""
         return tuple(r.paired_voter for r in self.rounds)

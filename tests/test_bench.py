@@ -192,6 +192,14 @@ class TestExperiments:
         with pytest.raises(ValueError, match="unknown config key"):
             parse_config("colour = red\n")
 
+    def test_repeated_key_names_both_lines(self):
+        text = (
+            "rules = plurality_veto\ninstances = 1\nvoters = 5\n"
+            "# a later edit\nvoters = 6\ncandidates = 2\n"
+        )
+        with pytest.raises(ValueError, match=r"line 5: .*'voters' repeats line 3"):
+            parse_config(text)
+
     def test_ratios_at_least_one(self):
         report = run_experiment(parse_config(self.CFG))
         assert all(r.ratio >= 1.0 - 1e-12 for r in report.records)

@@ -55,6 +55,12 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", ballots, "--order", "0,1")
         assert code == 1 and "permutation" in err
 
+    def test_all_orders_over_cap_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "nine.ballots"
+        path.write_text("3\n9\n" + "0,1,2\n" * 9)
+        code, _, err = run_cli(capsys, "run", str(path), "--all-orders")
+        assert code == 1 and "capped at n = 8" in err and "n = 9" in err
+
 
 class TestRandomize:
     def test_exact_fractions(self, ballots, capsys):
@@ -267,10 +273,43 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1 and "unknown rule" in err
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("distribution = cauchy", "unknown distribution"), ("dim = 0", "dim")],
+    )
+    def test_bad_sampling_config_is_an_input_error(
+        self, tmp_path, capsys, line, message
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "rules = plurality_veto\ninstances = 1\nvoters = 3\ncandidates = 2\n"
+            + line + "\n"
+        )
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 1 and err.startswith("error:") and message in err
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "dance")[0] == 1
+
+    @pytest.mark.parametrize("command", ["distortion", "flow", "simulate"])
+    def test_out_into_missing_directory_is_an_input_error(
+        self, ballots, tmp_path, capsys, command
+    ):
+        out = str(tmp_path / "missing" / "out.txt")
+        if command == "simulate":
+            cfg = tmp_path / "exp.cfg"
+            cfg.write_text(TestSimulate.CONFIG)
+            argv = ["simulate", "--config", str(cfg)]
+        elif command == "flow":
+            argv = ["flow", ballots, "--k", "1", "--cstar", "3"]
+        else:
+            argv = ["distortion", ballots, "--winner", "0"]
+        code, _, err = run_cli(capsys, *argv, "--out", out)
+        assert code == 1
+        assert err == f"error: cannot write {out}: No such file or directory\n"
+        assert not (tmp_path / "missing").exists()
 
     def test_no_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 1

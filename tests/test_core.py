@@ -148,6 +148,13 @@ class TestBallotFiles:
     def test_round_trip(self, e):
         assert parse_election(serialize_election(e)) == e
 
+    @given(st.text(alphabet="0123456789,=-#x \n", max_size=40))
+    def test_rejection_is_typed_with_a_line(self, text):
+        try:
+            parse_election(text)
+        except BallotParseError as exc:
+            assert exc.line >= 1 and str(exc).startswith(f"line {exc.line}: ")
+
 
 class TestWeightVector:
     def test_must_sum_to_one(self):

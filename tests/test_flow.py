@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pluveto.core import Election, WeightVector
 from pluveto.certify.flow import (
@@ -229,6 +230,27 @@ class TestFlowSerialization:
 
     def test_comments_ignored(self):
         assert parse_flow("# empty\n\n") == {}
+
+    @given(
+        st.dictionaries(
+            st.tuples(
+                st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                st.tuples(st.integers(0, 20), st.integers(0, 20)),
+            ),
+            st.fractions(),
+            max_size=12,
+        )
+    )
+    def test_round_trip_any_edge_list(self, flows):
+        g = FlowAssignment(flows, WeightVector.uniform(1), 0)
+        assert parse_flow(format_flow(g)) == flows
+
+    @given(st.text(alphabet="0123456789(),->: /.#x\n", max_size=40))
+    def test_rejection_is_a_flow_error_with_a_line(self, text):
+        try:
+            parse_flow(text)
+        except FlowError as exc:
+            assert str(exc).startswith("line ")
 
     def test_repeated_edge_names_both_lines(self):
         text = "(0,0)->(0,1): 1/4\n# comment\n(1,0)->(1,2): 1\n(0,0) -> (0,1): 1/2\n"

@@ -2,6 +2,7 @@ import importlib
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pluveto.bench import generate_euclidean
 from pluveto.core import Election
@@ -114,6 +115,36 @@ class TestMetricIO:
     def test_csv_round_trip(self):
         _, d = generate_euclidean(3, 4, 2, "uniform", 7)
         assert metric_from_csv(metric_to_csv(d)).d == d.d
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda m: st.lists(
+                st.lists(
+                    st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=m,
+                    max_size=m,
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_csv_round_trip_any_finite_matrix(self, rows):
+        d = Metric(rows)
+        assert metric_from_csv(metric_to_csv(d)) == d
+
+    def test_csv_errors_name_the_line(self):
+        with pytest.raises(ValueError, match=r"line 3: non-numeric entry"):
+            metric_from_csv("1.0,2.0\n# note\n1.0,two\n")
+        with pytest.raises(ValueError, match=r"line 2: 3 entries, the first row has 2"):
+            metric_from_csv("1.0,2.0\n1.0,2.0,3.0\n")
+
+    @given(st.text(alphabet="0123456789.,-e#x \n", max_size=40))
+    def test_csv_rejection_is_a_value_error_with_a_line(self, text):
+        try:
+            metric_from_csv(text)
+        except ValueError as exc:
+            assert str(exc).startswith("line ") or "at least one" in str(exc)
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):

@@ -25,18 +25,28 @@ class TestKnownPrograms:
         assert r.x == pytest.approx([1.0, 0.0])
 
     def test_infeasible(self):
-        r = linprog_max([1], [[1], [-1]], [1, -3])
+        # x <= 1 and x = 3
+        r = linprog_max([1], [[1]], [1], [[1]], [3])
         assert r.status is LPStatus.INFEASIBLE
 
     def test_unbounded(self):
         r = linprog_max([1, 0], [[0, 1]], [1])
         assert r.status is LPStatus.UNBOUNDED
 
-    def test_negative_rhs_normalization(self):
-        # -x <= -2  means  x >= 2
-        r = linprog_max([-1.0], [[-1.0]], [-2.0])
+    def test_negative_rhs_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            linprog_max([-1.0], [[-1.0]], [-2.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            linprog_max([1.0], A_eq=[[1.0]], b_eq=[-1.0])
+
+    def test_redundant_equality_rows(self):
+        # the second and third rows repeat the first; phase 1 drops them
+        r = linprog_max(
+            [1, 2], [[0, 1]], [0.5], [[1, 1], [2, 2], [1, 1]], [1, 2, 1]
+        )
         assert r.status is LPStatus.OPTIMAL
-        assert r.value == pytest.approx(-2.0)
+        assert r.value == pytest.approx(1.5)
+        assert r.x == pytest.approx([0.5, 0.5])
 
     def test_degenerate_cycling_candidate(self):
         # classic cycling setup for naive pivoting; must still terminate
