@@ -30,7 +30,6 @@ __all__ = [
     "generate_euclidean",
     "peer_selection",
     "adaptive_peer_veto",
-    "adaptive_winner_set",
     "potential_winners",
     "convex_hull_vertices",
     "ExperimentConfig",
@@ -129,11 +128,6 @@ def adaptive_peer_veto(e: Election, start: int) -> tuple[int, tuple[int, ...]]:
         eliminated.append(victim)
         voter = victim
     return eliminated[-1], tuple(eliminated)
-
-
-def adaptive_winner_set(e: Election) -> frozenset[int]:
-    """Winners of the adaptive peer-selection veto over all start agents."""
-    return frozenset(adaptive_peer_veto(e, s)[0] for s in range(e.n))
 
 
 def potential_winners(e: Election, mode: str = "exact") -> frozenset[int]:
@@ -290,7 +284,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: config key {key!r} repeats line {first_line[key]}"
             )
         first_line[key] = lineno
-        values[key] = _CONFIG_KEYS[key](value.strip())
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     missing = {"rules", "instances", "voters", "candidates"} - values.keys()
     if missing:
         raise ValueError(f"config is missing keys: {sorted(missing)}")

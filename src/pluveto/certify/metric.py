@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import Election
-
 __all__ = [
     "Metric", "social_cost", "metric_to_csv", "metric_from_csv", "triangle_violations",
 ]
@@ -85,27 +83,6 @@ class Metric:
                 f"triangle violation: d({v},{c}) = {d[v][c]} > "
                 f"d({v},{c2}) + d({v2},{c2}) + d({v2},{c}) = {bound}"
             )
-
-    def is_valid(self, tol: float = DEFAULT_TOL) -> bool:
-        try:
-            self.validate(tol)
-        except ValueError:
-            return False
-        return True
-
-    def consistent_with(self, e: Election, tol: float = DEFAULT_TOL) -> bool:
-        """True iff every voter's ranking is non-decreasing in distance."""
-        if e.n != self.n or e.m != self.m:
-            return False
-        for v, ranking in enumerate(e.rankings):
-            row = self.d[v]
-            for a, b in zip(ranking, ranking[1:]):
-                if row[a] > row[b] + tol:
-                    return False
-        return True
-
-    def all_positive(self) -> bool:
-        return all(x > 0 for row in self.d for x in row)
 
 
 def social_cost(c: int, d: Metric | Sequence[Sequence[float]]):

@@ -287,9 +287,10 @@ def _cmd_distortion(args) -> int:
             result = distortion(e, w)
     except DistortionInputError as exc:
         raise CliError(str(exc))
-    print(f"distortion: {result.value:.9f} (reference candidate {result.cstar})")
     if args.out:
         _atomic_write(args.out, metric_to_csv(result.witness))
+    print(f"distortion: {result.value:.9f} (reference candidate {result.cstar})")
+    if args.out:
         print(f"witness metric written to {args.out}")
     return 0
 
@@ -315,14 +316,15 @@ def _cmd_flow(args) -> int:
     except FlowError as exc:
         print(f"FAIL flow-verification: {exc}")
         return 1
+    _, dual_report = dual_from_flow(e, assignment, check)
+    if args.out:
+        _atomic_write(args.out, format_flow(assignment))
     for v, cost in enumerate(check.per_voter_costs):
         print(f"voter {v}: cost {_fraction_str(cost)}")
     print(f"cost: {_fraction_str(check.cost)}")
-    _, dual_report = dual_from_flow(e, assignment, check)
     print(f"{'PASS' if dual_report.feasible else 'FAIL'} dual-feasibility "
           f"(objective {_fraction_str(dual_report.objective)})")
     if args.out:
-        _atomic_write(args.out, format_flow(assignment))
         print(f"flow written to {args.out}")
     return 0 if dual_report.feasible else 1
 
@@ -347,9 +349,10 @@ def _cmd_simulate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     report = run_experiment(config)
-    print(report.summary(), end="")
     if args.out:
         _atomic_write(args.out, report_to_csv(report))
+    print(report.summary(), end="")
+    if args.out:
         print(f"report written to {args.out}")
     return 0
 
@@ -370,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BallotParseError as exc:
+    except (CliError, BallotParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal failure

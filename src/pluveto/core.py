@@ -190,10 +190,24 @@ def parse_election(text: str) -> Election:
     Format (UTF-8 text): first data line is the candidate count m, second is
     the voter count n, then n lines each holding a comma-separated permutation
     of 0..m-1, most-preferred first.  Lines starting with ``#`` are comments.
+
+    Each ballot is checked once, by :class:`Election`; only a file that fails
+    that one pass is read again line by line, to name its first bad line.
     """
+    lines = [s for s in map(str.strip, text.splitlines()) if s and s[0] != "#"]
+    try:
+        m, n, *ballots = lines
+        e = Election(tuple(tuple(map(int, b.split(","))) for b in ballots))
+        if e.m == int(m) and e.n == int(n):
+            return e
+    except ValueError:
+        pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Election:
     header: list[int] = []
     ballots: list[tuple[int, ...]] = []
-    m = n = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -88,20 +88,35 @@ def plurality_veto(e: Election, order: Sequence[int] | None = None) -> VetoTrace
     and auditable; it is always a bijection on voters.
     """
     order = _check_order(order, e.n)
-    scores = list(plurality_scores(e))
     queues: dict[int, deque[int]] = {c: deque() for c in range(e.m)}
-    for v in range(e.n):
-        queues[top(e, v)].append(v)
+    for v, ranking in enumerate(e.rankings):
+        queues[ranking[0]].append(v)
+    replay, scores = _veto_rounds(e, order, e.n)
+    rounds = tuple(
+        VetoRound(i, v, active, c, queues[c].popleft())
+        for i, (v, active, c) in enumerate(replay, start=1)
+    )
+    return VetoTrace(rounds, tuple(scores), rounds[-1].vetoed)
 
-    rounds: list[VetoRound] = []
-    for i, v in enumerate(order, start=1):
-        active = frozenset(c for c in range(e.m) if scores[c] > 0)
-        c = bottom_among(e, v, active)
+
+def _veto_rounds(e: Election, order: Sequence[int], k: int):
+    """The first k veto rounds in ``order`` as (voter, active set, vetoed)
+    triples, and the residual scores.  The active set is rebuilt only when a
+    score reaches 0, so the rounds in between share one frozenset; the
+    bottom choice is the last-ranked candidate with a positive score."""
+    scores = list(plurality_scores(e))
+    active = frozenset(c for c, s in enumerate(scores) if s > 0)
+    rankings = e.rankings
+    rounds = []
+    for v in order[:k]:
+        for c in reversed(rankings[v]):
+            if scores[c] > 0:
+                break
+        rounds.append((v, active, c))
         scores[c] -= 1
-        paired = queues[c].popleft()
-        rounds.append(VetoRound(i, v, active, c, paired))
-    winner = rounds[-1].vetoed
-    return VetoTrace(tuple(rounds), tuple(scores), winner)
+        if not scores[c]:
+            active = active - {c}
+    return rounds, scores
 
 
 def validate_trace(e: Election, trace: VetoTrace) -> None:
@@ -113,23 +128,21 @@ def validate_trace(e: Election, trace: VetoTrace) -> None:
         raise ValueError(
             f"trace has {len(trace.rounds)} rounds for {e.n} voters"
         )
-    scores = list(plurality_scores(e))
+    replay, scores = _veto_rounds(e, [r.voter for r in trace.rounds], e.n)
     seen_voters: set[int] = set()
     seen_paired: set[int] = set()
-    for i, r in enumerate(trace.rounds, start=1):
+    for i, (r, (_, active, vetoed)) in enumerate(zip(trace.rounds, replay), start=1):
         if r.index != i:
             raise ValueError(f"round {i} is labeled {r.index}")
-        active = frozenset(c for c in range(e.m) if scores[c] > 0)
         if r.active != active:
             raise ValueError(f"round {i}: recorded active set {sorted(r.active)} "
                              f"differs from replay {sorted(active)}")
-        if r.vetoed != bottom_among(e, r.voter, active):
+        if r.vetoed != vetoed:
             raise ValueError(f"round {i}: vetoed candidate is not voter "
                              f"{r.voter}'s bottom choice among the active set")
         if top(e, r.paired_voter) != r.vetoed:
             raise ValueError(f"round {i}: paired voter {r.paired_voter} does not "
                              f"top the vetoed candidate {r.vetoed}")
-        scores[r.vetoed] -= 1
         seen_voters.add(r.voter)
         seen_paired.add(r.paired_voter)
     if len(seen_voters) != e.n or len(seen_paired) != e.n:
@@ -163,11 +176,7 @@ def randomized_veto(
     """
     if not 0 <= k <= e.n - 1:
         raise ValueError(f"k must be in 0..{e.n - 1}, got {k}")
-    order = _check_order(order, e.n)
-    scores = list(plurality_scores(e))
-    for v in order[:k]:
-        active = [c for c in range(e.m) if scores[c] > 0]
-        scores[bottom_among(e, v, active)] -= 1
+    _, scores = _veto_rounds(e, _check_order(order, e.n), k)
     return WeightVector(tuple(Fraction(s, e.n - k) for s in scores))
 
 
@@ -241,9 +250,12 @@ def fractional_veto(
 
 def format_trace(trace: VetoTrace) -> str:
     """One round per line: ``i, v_i, {active set}, vetoed, paired voter``."""
+    labels: dict[frozenset[int], str] = {}
     lines = []
     for r in trace.rounds:
-        active = " ".join(str(c) for c in sorted(r.active))
+        if r.active not in labels:
+            labels[r.active] = " ".join(str(c) for c in sorted(r.active))
+        active = labels[r.active]
         lines.append(f"{r.index}, {r.voter}, {{{active}}}, {r.vetoed}, {r.paired_voter}")
     return "\n".join(lines) + "\n"
 

@@ -1,0 +1,35 @@
+"""Predicates and oracles that only the tests use."""
+
+from pluveto.bench import adaptive_peer_veto
+from pluveto.certify.metric import DEFAULT_TOL, Metric
+from pluveto.core import Election
+
+
+def is_valid(metric: Metric, tol: float = DEFAULT_TOL) -> bool:
+    """True iff ``metric.validate(tol)`` raises nothing."""
+    try:
+        metric.validate(tol)
+    except ValueError:
+        return False
+    return True
+
+
+def consistent_with(metric: Metric, e: Election, tol: float = DEFAULT_TOL) -> bool:
+    """True iff every voter's ranking is non-decreasing in distance."""
+    if e.n != metric.n or e.m != metric.m:
+        return False
+    for v, ranking in enumerate(e.rankings):
+        row = metric.d[v]
+        for a, b in zip(ranking, ranking[1:]):
+            if row[a] > row[b] + tol:
+                return False
+    return True
+
+
+def all_positive(metric: Metric) -> bool:
+    return all(x > 0 for row in metric.d for x in row)
+
+
+def adaptive_winner_set(e: Election) -> frozenset[int]:
+    """Winners of the adaptive peer-selection veto over all start agents."""
+    return frozenset(adaptive_peer_veto(e, s)[0] for s in range(e.n))

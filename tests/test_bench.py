@@ -1,11 +1,12 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pluveto.bench import (
     ExperimentConfig,
     adaptive_peer_veto,
-    adaptive_winner_set,
     convex_hull_vertices,
     generate_euclidean,
     parse_config,
@@ -16,6 +17,8 @@ from pluveto.bench import (
 )
 from pluveto.core import Election, plurality_scores, top
 from pluveto.rules import plurality_veto
+
+from helpers import adaptive_winner_set, consistent_with, is_valid
 
 
 class TestGenerateEuclidean:
@@ -39,8 +42,8 @@ class TestGenerateEuclidean:
             e, d = generate_euclidean(
                 1 + seed % 5, 1 + seed % 4, 1 + seed % 3, "uniform", seed
             )
-            assert d.is_valid()
-            assert d.consistent_with(e)
+            assert is_valid(d)
+            assert consistent_with(d, e)
 
     def test_unknown_distribution(self):
         with pytest.raises(ValueError):
@@ -236,3 +239,82 @@ class TestExperiments:
             plu[c] / 4 * sum(d[v][c] for v in range(4)) for c in range(3)
         )
         assert rec.cost == pytest.approx(expected)
+
+
+INT_KEYS = ["instances", "voters", "candidates", "dim", "seed",
+            "committee_size", "committee_rank"]
+
+
+def config_to_text(cfg: ExperimentConfig) -> str:
+    """The ``key = value`` lines :func:`parse_config` reads, one per field."""
+    lines = []
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        lines.append(f"{field.name} = {', '.join(value) if field.name == 'rules' else value}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def configs(draw):
+    candidates = draw(st.integers(1, 8))
+    size = draw(st.integers(1, candidates))
+    rule = st.sampled_from(["plurality_veto", "random_dictatorship", "committee_select"])
+    rule |= st.integers(0, 99).map(lambda k: f"randomized_veto({k})")
+    return ExperimentConfig(
+        rules=tuple(draw(st.lists(rule, max_size=4))),
+        instances=draw(st.integers(1, 10**6)),
+        voters=draw(st.integers(1, 10**6)),
+        candidates=candidates,
+        dim=draw(st.integers(1, 9)),
+        distribution=draw(st.sampled_from(["uniform", "gaussian"])),
+        seed=draw(st.integers(-(10**9), 10**9)),
+        committee_size=size,
+        committee_rank=draw(st.integers(size // 2 + 1, size)),
+    )
+
+
+config_line = st.one_of(
+    st.tuples(
+        st.sampled_from(["rules", "instances", "voters", "candidates", "dim",
+                         "distribution", "seed", "committee_size", "committee_rank",
+                         "colour", ""]),
+        st.sampled_from([" = ", "=", " : ", " "]),
+        st.text(alphabet="0123456789-+_ ,()abcdefghijklmnopqrstuvwxyz", max_size=20),
+    ).map("".join),
+    st.sampled_from(["", "# comment", "  ", "=", "rules = plurality_veto"]),
+    st.text(max_size=20),
+)
+
+
+class TestConfigFuzz:
+    @given(configs())
+    def test_round_trip(self, cfg):
+        assert parse_config(config_to_text(cfg)) == cfg
+
+    @given(st.lists(config_line, max_size=12).map("\n".join))
+    @settings(max_examples=300)
+    def test_any_text_parses_or_raises_value_error(self, text):
+        try:
+            assert isinstance(parse_config(text), ExperimentConfig)
+        except ValueError:
+            pass
+
+    @given(configs(), st.data())
+    def test_a_bad_line_is_named(self, cfg, data):
+        lines = config_to_text(cfg).splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        kind = data.draw(st.sampled_from(["no_equals", "unknown_key", "repeat", "not_int"]))
+        if kind == "no_equals":
+            lines[i] = lines[i].replace("=", ":")
+        elif kind == "unknown_key":
+            lines[i] = "x" + lines[i]
+        elif kind == "repeat":
+            i = len(lines)
+            lines.append(lines[data.draw(st.integers(0, i - 1))])
+        else:
+            key = data.draw(st.sampled_from(INT_KEYS))
+            i = [line.partition(" = ")[0] for line in lines].index(key)
+            lines[i] = f"{key} = {data.draw(st.sampled_from(['many', '1.5', '', '0x10']))}"
+        with pytest.raises(ValueError) as err:
+            parse_config("\n".join(lines))
+        assert str(err.value).startswith(f"line {i + 1}: ")

@@ -1,10 +1,12 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pluveto.cli import main
 from pluveto.certify.metric import metric_from_csv
 from pluveto.core import parse_election
 
 from conftest import REFERENCE_FLOW
+from helpers import consistent_with, is_valid
 
 DEMO_TEXT = "4\n4\n0,1,2,3\n0,2,3,1\n1,2,3,0\n3,1,0,2\n"
 
@@ -130,8 +132,8 @@ class TestDistortion:
         )
         assert code == 0
         witness = metric_from_csv(out_path.read_text())
-        assert witness.is_valid()
-        assert witness.consistent_with(parse_election(DEMO_TEXT))
+        assert is_valid(witness)
+        assert consistent_with(witness, parse_election(DEMO_TEXT))
 
     def test_exactly_one_source_required(self, ballots, capsys):
         code, _, err = run_cli(capsys, "distortion", ballots)
@@ -289,6 +291,38 @@ class TestSimulate:
         assert code == 1 and err.startswith("error:") and message in err
 
 
+weight_texts = st.one_of(
+    st.lists(
+        st.sampled_from(["1/4", "0.25", " 1/2 ", "0", "1", "3/4", "1/3", "2/3",
+                         "-1/4", "1/0", "x", "", "# note", "+0.5", "1_0"]),
+        max_size=6,
+    ).map("\n".join),
+    st.text(alphabet="0123456789/-+. #x\n", max_size=30),
+    st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any).map(
+        lambda counts: "# weights\n" + "\n".join(f"{c}/{sum(counts)}" for c in counts)
+    ),
+)
+
+
+class TestWeightFilesFuzz:
+    @pytest.mark.parametrize("flag", ["--p", "--q", "--weights"])
+    @given(text=weight_texts)
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_weights_file_exits_0_or_1(self, ballots, tmp_path, capsys, flag, text):
+        fuzzed = tmp_path / "fuzzed.txt"
+        fuzzed.write_text(text)
+        uniform = tmp_path / "uniform.txt"
+        uniform.write_text("1/4\n" * 4)
+        if flag == "--weights":
+            argv = ["distortion", ballots, "--weights", str(fuzzed)]
+        else:
+            p, q = (fuzzed, uniform) if flag == "--p" else (uniform, fuzzed)
+            argv = ["certify", ballots, "--p", str(p), "--q", str(q)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code in (0, 1), err
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run_cli(capsys, "dance")[0] == 1
@@ -306,8 +340,9 @@ class TestExitCodes:
             argv = ["flow", ballots, "--k", "1", "--cstar", "3"]
         else:
             argv = ["distortion", ballots, "--winner", "0"]
-        code, _, err = run_cli(capsys, *argv, "--out", out)
+        code, stdout, err = run_cli(capsys, *argv, "--out", out)
         assert code == 1
+        assert stdout == ""
         assert err == f"error: cannot write {out}: No such file or directory\n"
         assert not (tmp_path / "missing").exists()
 

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pluveto.core import (
     BallotParseError,
@@ -27,6 +27,115 @@ def elections(draw, max_voters=5, max_candidates=5):
         st.lists(st.permutations(range(m)), min_size=n, max_size=n)
     )
     return Election(tuple(tuple(r) for r in rankings))
+
+
+def reference_parse_election(text):
+    """The line-by-line parser that checked every ballot as it read it,
+    kept as the reference for :func:`parse_election`."""
+    header, ballots = [], []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if len(header) < 2:
+            try:
+                value = int(line)
+            except ValueError:
+                raise BallotParseError(f"expected an integer count, got {line!r}", lineno)
+            if value < 1:
+                raise BallotParseError(f"counts must be at least 1, got {value}", lineno)
+            header.append(value)
+            if len(header) == 2:
+                m, n = header
+            continue
+        if len(ballots) >= n:
+            raise CountMismatchError(f"expected {n} ballots but found more", lineno)
+        ballots.append(reference_parse_ballot(line, m, lineno))
+    if len(header) < 2:
+        raise CountMismatchError("missing candidate/voter count header", 1)
+    if len(ballots) != n:
+        raise CountMismatchError(
+            f"expected {n} ballots but found {len(ballots)}", lineno if text else 1
+        )
+    return Election(tuple(ballots))
+
+
+def reference_parse_ballot(line, m, lineno):
+    if "=" in line:
+        raise TieError("tied rankings are not supported", lineno)
+    entries = []
+    for token in line.split(","):
+        token = token.strip()
+        try:
+            c = int(token)
+        except ValueError:
+            raise BallotParseError(f"bad candidate token {token!r}", lineno)
+        if not 0 <= c < m:
+            raise MissingCandidateError(f"candidate {c} out of range 0..{m - 1}", lineno)
+        if c in entries:
+            raise DuplicateCandidateError(f"candidate {c} listed twice", lineno)
+        entries.append(c)
+    if len(entries) != m:
+        missing = sorted(set(range(m)) - set(entries))
+        raise MissingCandidateError(f"ballot omits candidate(s) {missing}", lineno)
+    return tuple(entries)
+
+
+# Tokens int() reads in some way: valid, signed, padded, underscored, a
+# non-ASCII digit, and malformed.
+ODD_TOKENS = ["x", "", " ", "1.0", "0x1", "+1", "-0", " 1 ", "1_0", "\u0663", "1e0"]
+
+
+@st.composite
+def mutated_ballot_texts(draw):
+    """A serialized election with up to four edits: comments, blank or padded
+    lines, ties, duplicate, missing, extra or out-of-range candidates, odd
+    tokens, an extra or a dropped ballot, or a changed header count."""
+    e = draw(elections(max_voters=6, max_candidates=6))
+    lines = serialize_election(e).splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from([
+            "comment", "blank", "pad", "tie", "duplicate", "out_of_range",
+            "drop_token", "extra_token", "odd_token", "extra_ballot",
+            "drop_ballot", "header",
+        ]))
+        if not lines:
+            lines.append("1")
+        j = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[j].split(",")
+        k = draw(st.integers(0, len(tokens) - 1))
+        if kind == "comment":
+            lines.insert(j, draw(st.sampled_from(["# note", "  #0,1", "#"])))
+        elif kind == "blank":
+            lines.insert(j, draw(st.sampled_from(["", "   ", "\t"])))
+        elif kind == "pad":
+            lines[j] = " " + lines[j].replace(",", " , ") + "\t"
+        elif kind == "tie":
+            lines[j] = lines[j].replace(",", "=", 1) if "," in lines[j] else lines[j] + "=0"
+        elif kind == "duplicate":
+            tokens[k] = tokens[-1 - k]
+            lines[j] = ",".join(tokens)
+        elif kind == "out_of_range":
+            tokens[k] = draw(st.sampled_from([str(e.m), "-1", "99"]))
+            lines[j] = ",".join(tokens)
+        elif kind == "drop_token":
+            del tokens[k]
+            lines[j] = ",".join(tokens)
+        elif kind == "extra_token":
+            tokens.insert(k, draw(st.sampled_from(["0", str(e.m - 1), str(e.m)])))
+            lines[j] = ",".join(tokens)
+        elif kind == "odd_token":
+            tokens[k] = draw(st.sampled_from(ODD_TOKENS))
+            lines[j] = ",".join(tokens)
+        elif kind == "extra_ballot":
+            lines.insert(j, lines[-1])
+        elif kind == "drop_ballot":
+            del lines[j]
+        else:
+            lines[draw(st.integers(0, 1)) % len(lines)] = draw(
+                st.sampled_from(["0", "-2", "x", str(e.n + 1), str(e.m + 1), "2 "])
+            )
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
 
 
 class TestElection:
@@ -154,6 +263,26 @@ class TestBallotFiles:
             parse_election(text)
         except BallotParseError as exc:
             assert exc.line >= 1 and str(exc).startswith(f"line {exc.line}: ")
+
+
+class TestParserMatchesReference:
+    @staticmethod
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except BallotParseError as exc:
+            return type(exc), exc.line, str(exc)
+
+    @given(mutated_ballot_texts())
+    @settings(max_examples=400)
+    def test_same_election_or_same_error(self, text):
+        expected = self.outcome(reference_parse_election, text)
+        assert self.outcome(parse_election, text) == expected
+
+    @given(st.text(alphabet="0123456789,=-#x \n", max_size=40))
+    def test_same_outcome_on_any_text(self, text):
+        expected = self.outcome(reference_parse_election, text)
+        assert self.outcome(parse_election, text) == expected
 
 
 class TestWeightVector:

@@ -18,6 +18,7 @@ from pluveto.bench import generate_euclidean
 from pluveto.rules import plurality_veto, randomized_veto
 
 from conftest import random_election
+from helpers import consistent_with, is_valid
 
 
 class TestWorstCaseDistortion:
@@ -33,8 +34,8 @@ class TestWorstCaseDistortion:
         r = worst_case_distortion(e, WeightVector.point_mass(0, 2), 1)
         assert r.value == pytest.approx(3.0, abs=1e-6)
         # a known maximizer: voter 0 equidistant, voter 1 on its favorite
-        assert r.witness.is_valid()
-        assert r.witness.consistent_with(e)
+        assert is_valid(r.witness)
+        assert consistent_with(r.witness, e)
         assert social_cost(1, r.witness) == pytest.approx(1.0, abs=1e-9)
         assert social_cost(0, r.witness) == pytest.approx(3.0, abs=1e-6)
 
@@ -49,8 +50,8 @@ class TestWorstCaseDistortion:
             e = random_election(rng, rng.randint(1, 5), rng.randint(1, 4))
             k = rng.randint(0, e.n - 1)
             r = distortion(e, randomized_veto(e, k))
-            assert r.witness.is_valid()
-            assert r.witness.consistent_with(e)
+            assert is_valid(r.witness)
+            assert consistent_with(r.witness, e)
 
     def test_normalization_holds_at_witness(self):
         rng = random.Random(37)
@@ -166,7 +167,7 @@ class TestLazyTriangleRows:
                 r = worst_case_distortion(e, w, cstar)
                 assert abs(r.value - full_lp_value(e, w, cstar)) <= 1e-9
                 r.witness.validate()
-                assert r.witness.consistent_with(e)
+                assert consistent_with(r.witness, e)
                 lazy += r.lazy_rounds > 0
         assert lazy > 0  # the sample reaches the re-solve path
 
@@ -189,7 +190,7 @@ class TestLazyTriangleRows:
             expected = max(full_lp_value(e, w, c) for c in range(e.m))
             assert abs(r.value - expected) <= 1e-9
             r.witness.validate(tol)
-            assert r.witness.consistent_with(e)
+            assert consistent_with(r.witness, e)
         assert seen == {tol}
 
     def test_first_solve_violation_is_resolved(self):
@@ -201,7 +202,7 @@ class TestLazyTriangleRows:
         assert r.lazy_rounds == 1
         assert r.value == pytest.approx(full_lp_value(e, w, 0), abs=1e-9)
         r.witness.validate()
-        assert r.witness.consistent_with(e)
+        assert consistent_with(r.witness, e)
 
     def test_violation_of_a_held_row_is_an_internal_error(self, monkeypatch):
         # a reported violation of a row the LP already holds is float noise;

@@ -14,6 +14,8 @@ from pluveto.certify.metric import (
     triangle_violations,
 )
 
+from helpers import all_positive, consistent_with, is_valid
+
 
 def loop_validation_error(d, tol=1e-9):
     """The first violation's message by the nested-loop check, or None."""
@@ -58,7 +60,7 @@ class TestMetricValidation:
         d = Metric(((10.0, 1.0), (1.0, 1.0)))
         with pytest.raises(ValueError, match="triangle"):
             d.validate()
-        assert not d.is_valid()
+        assert not is_valid(d)
 
     def test_zero_distances_are_legal(self):
         Metric(((0.0, 0.0), (0.0, 0.0))).validate()
@@ -93,17 +95,17 @@ class TestMetricValidation:
     def test_consistency(self):
         e = Election(((0, 1), (1, 0)))
         good = Metric(((1.0, 2.0), (3.0, 0.5)))
-        assert good.consistent_with(e)
+        assert consistent_with(good, e)
         bad = Metric(((2.0, 1.0), (3.0, 0.5)))
-        assert not bad.consistent_with(e)
+        assert not consistent_with(bad, e)
 
     def test_consistency_checks_shape(self):
         e = Election(((0, 1), (1, 0)))
-        assert not Metric(((1.0, 2.0),)).consistent_with(e)
+        assert not consistent_with(Metric(((1.0, 2.0),)), e)
 
     def test_all_positive(self):
-        assert Metric(((1.0, 2.0),)).all_positive()
-        assert not Metric(((0.0, 2.0),)).all_positive()
+        assert all_positive(Metric(((1.0, 2.0),)))
+        assert not all_positive(Metric(((0.0, 2.0),)))
 
 
 class TestMetricIO:

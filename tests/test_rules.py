@@ -1,12 +1,16 @@
 import random
+from collections import deque
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pluveto.core import Election, WeightVector, plurality_scores, top
+from pluveto.core import Election, WeightVector, bottom_among, plurality_scores, top
 from pluveto.rules import (
+    VetoRound,
+    VetoTrace,
     fractional_veto,
     format_trace,
     lowest_index_policy,
@@ -17,6 +21,94 @@ from pluveto.rules import (
 )
 
 from conftest import random_election, random_simplex
+
+
+# --- the round loop as it stood before the incremental kernel: the active set
+# is rebuilt from the scores and the bottom choice read from ``positions`` in
+# every round.  Kept as the reference the kernel is compared against.
+
+
+def reference_plurality_veto(e, order):
+    scores = list(plurality_scores(e))
+    queues = {c: deque() for c in range(e.m)}
+    for v in range(e.n):
+        queues[top(e, v)].append(v)
+    rounds = []
+    for i, v in enumerate(order, start=1):
+        active = frozenset(c for c in range(e.m) if scores[c] > 0)
+        c = bottom_among(e, v, active)
+        scores[c] -= 1
+        rounds.append(VetoRound(i, v, active, c, queues[c].popleft()))
+    return VetoTrace(tuple(rounds), tuple(scores), rounds[-1].vetoed)
+
+
+def reference_randomized_veto(e, k, order):
+    scores = list(plurality_scores(e))
+    for v in order[:k]:
+        active = [c for c in range(e.m) if scores[c] > 0]
+        scores[bottom_among(e, v, active)] -= 1
+    return WeightVector(tuple(F(s, e.n - k) for s in scores))
+
+
+def reference_validate_trace(e, trace):
+    if len(trace.rounds) != e.n:
+        raise ValueError(f"trace has {len(trace.rounds)} rounds for {e.n} voters")
+    scores = list(plurality_scores(e))
+    seen_voters, seen_paired = set(), set()
+    for i, r in enumerate(trace.rounds, start=1):
+        if r.index != i:
+            raise ValueError(f"round {i} is labeled {r.index}")
+        active = frozenset(c for c in range(e.m) if scores[c] > 0)
+        if r.active != active:
+            raise ValueError(f"round {i}: recorded active set {sorted(r.active)} "
+                             f"differs from replay {sorted(active)}")
+        if r.vetoed != bottom_among(e, r.voter, active):
+            raise ValueError(f"round {i}: vetoed candidate is not voter "
+                             f"{r.voter}'s bottom choice among the active set")
+        if top(e, r.paired_voter) != r.vetoed:
+            raise ValueError(f"round {i}: paired voter {r.paired_voter} does not "
+                             f"top the vetoed candidate {r.vetoed}")
+        scores[r.vetoed] -= 1
+        seen_voters.add(r.voter)
+        seen_paired.add(r.paired_voter)
+    if len(seen_voters) != e.n or len(seen_paired) != e.n:
+        raise ValueError("trace pairing is not a bijection on voters")
+    if any(scores):
+        raise ValueError(f"scores nonzero after a full run: {tuple(scores)}")
+    if trace.winner != trace.rounds[-1].vetoed:
+        raise ValueError("recorded winner is not the last vetoed candidate")
+    if tuple(trace.final_scores) != tuple(scores):
+        raise ValueError("recorded final scores differ from replay")
+
+
+def reference_format_trace(trace):
+    lines = []
+    for r in trace.rounds:
+        active = " ".join(str(c) for c in sorted(r.active))
+        lines.append(f"{r.index}, {r.voter}, {{{active}}}, {r.vetoed}, {r.paired_voter}")
+    return "\n".join(lines) + "\n"
+
+
+def kernel_cases(count=400, seed=11):
+    """Seeded (election, order) pairs: the edge shapes n = 1 and m = 1, then
+    random shapes, every third one with its first-place votes spread as
+    evenly as possible so that several candidates tie on plurality."""
+    rng = random.Random(seed)
+    shapes = [(1, 1), (1, 5), (6, 1), (2, 2)]
+    shapes += [(rng.randint(1, 14), rng.randint(1, 7)) for _ in range(count - 4)]
+    for i, (n, m) in enumerate(shapes):
+        if i % 3 == 2:
+            rankings = []
+            for v in range(n):
+                rest = [c for c in range(m) if c != v % m]
+                rng.shuffle(rest)
+                rankings.append((v % m, *rest))
+            e = Election(tuple(rankings))
+        else:
+            e = random_election(rng, n, m)
+        order = list(range(n))
+        rng.shuffle(order)
+        yield rng, e, tuple(order)
 
 
 @st.composite
@@ -215,3 +307,55 @@ class TestFractionalVeto:
 
     def test_default_policy_picks_lowest(self):
         assert lowest_index_policy([F(0), F(0), F(1, 2), F(1, 2)]) == 2
+
+
+class TestKernelMatchesReference:
+    def test_traces_and_distributions_equal(self):
+        tied = 0
+        for rng, e, order in kernel_cases():
+            trace = plurality_veto(e, order)
+            assert trace == reference_plurality_veto(e, order)
+            assert format_trace(trace) == reference_format_trace(trace)
+            validate_trace(e, trace)
+            for k in {0, e.n - 1, rng.randint(0, e.n - 1)}:
+                assert randomized_veto(e, k, order) == reference_randomized_veto(e, k, order)
+            plu = plurality_scores(e)
+            tied += plu.count(max(plu)) > 1
+        assert tied >= 100
+
+    def test_validate_trace_agrees_on_tampered_traces(self):
+        def outcome(check, e, trace):
+            try:
+                check(e, trace)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        rejected = 0
+        for rng, e, order in kernel_cases(count=300, seed=12):
+            trace = plurality_veto(e, order)
+            i = rng.randrange(e.n)
+            r = trace.rounds[i]
+            rounds = list(trace.rounds)
+            field = rng.choice(["index", "voter", "active", "vetoed", "paired_voter",
+                                "swap", "winner", "final_scores"])
+            if field == "active":
+                rounds[i] = replace(r, active=r.active ^ {rng.randrange(e.m)})
+            elif field == "swap":
+                j = rng.randrange(e.n)
+                rounds[i], rounds[j] = replace(rounds[j], index=i + 1), replace(r, index=j + 1)
+            elif field in ("voter", "paired_voter"):
+                rounds[i] = replace(r, **{field: rng.randrange(e.n)})
+            elif field == "vetoed":
+                rounds[i] = replace(r, vetoed=rng.randrange(e.m))
+            elif field == "index":
+                rounds[i] = replace(r, index=rng.randint(0, e.n + 1))
+            scores = trace.final_scores
+            if field == "final_scores":
+                scores = tuple(s + (c == 0) for c, s in enumerate(scores))
+            winner = rng.randrange(e.m) if field == "winner" else trace.winner
+            tampered = VetoTrace(tuple(rounds), scores, winner)
+            expected = outcome(reference_validate_trace, e, tampered)
+            assert outcome(validate_trace, e, tampered) == expected
+            rejected += expected is not None
+        assert rejected >= 150
