@@ -15,14 +15,16 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Sequence
 
-from .core import Election, WeightVector, top
+import numpy as np
+
+from .core import Election, top
 from .certify.domination import domination_graph, has_perfect_matching
-from .certify.metric import Metric, social_cost
+from .certify.metric import Metric
 from .rules import (
+    _q_social_costs,
     bottom_among,
     committee_select,
     plurality_veto,
-    q_social_cost,
     randomized_veto,
 )
 
@@ -200,6 +202,8 @@ class ExperimentConfig:
     committee_rank: int = 2
 
     def __post_init__(self):
+        if not self.rules:
+            raise ValueError("rules must name at least one rule")
         for rule in self.rules:
             if rule not in _KNOWN_RULES and not _RULE_RE.match(rule):
                 raise ValueError(f"unknown rule name {rule!r}")
@@ -294,14 +298,6 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _expected_cost(w: WeightVector, d: Metric) -> float:
-    return float(sum(float(x) * social_cost(c, d) for c, x in enumerate(w)))
-
-
-def _format_distribution(w: WeightVector) -> str:
-    return " ".join(f"{x.numerator}/{x.denominator}" for x in w)
-
-
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Evaluate the configured rules on freshly generated instances.
 
@@ -318,45 +314,34 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             config.voters, config.candidates, config.dim,
             config.distribution, inst_seed,
         )
-        opt = min(social_cost(c, d) for c in range(e.m))
+        dist = np.array(d.d)
+        costs = _q_social_costs(dist, np.arange(e.m)[:, None], 1)
         for rule in config.rules:
-            records.append(_evaluate_rule(rule, e, d, opt, inst_seed, config))
+            records.append(_evaluate_rule(rule, e, dist, costs, inst_seed, config))
     return ExperimentReport(config, tuple(records))
 
 
-def _evaluate_rule(
-    rule: str,
-    e: Election,
-    d: Metric,
-    opt: float,
-    inst_seed: int,
-    config: ExperimentConfig,
-) -> ExperimentRecord:
+def _evaluate_rule(rule: str, e: Election, dist: np.ndarray, costs: list[float],
+                   inst_seed: int, config: ExperimentConfig) -> ExperimentRecord:
+    """One record; ``costs`` holds each candidate's social cost under ``dist``."""
+    opt = min(costs)
     if rule == "plurality_veto":
         winner = plurality_veto(e).winner
-        return ExperimentRecord(inst_seed, rule, str(winner), social_cost(winner, d), opt)
-    if rule == "random_dictatorship":
-        w = randomized_veto(e, 0)
-        return ExperimentRecord(
-            inst_seed, rule, _format_distribution(w), _expected_cost(w, d), opt
-        )
+        return ExperimentRecord(inst_seed, rule, str(winner), costs[winner], opt)
     match = _RULE_RE.match(rule)
-    if match:
-        k = min(int(match.group(1)), e.n - 1)
-        w = randomized_veto(e, k)
-        return ExperimentRecord(
-            inst_seed, rule, _format_distribution(w), _expected_cost(w, d), opt
-        )
-    # committee_select
+    if match or rule == "random_dictatorship":
+        w = randomized_veto(e, min(int(match.group(1)), e.n - 1) if match else 0)
+        label = " ".join(f"{x.numerator}/{x.denominator}" for x in w)
+        cost = sum(float(x) * costs[c] for c, x in enumerate(w))
+        return ExperimentRecord(inst_seed, rule, label, cost, opt)
+    # committee_select: its q-cost against the best of all C(m, k) committees
     k, q = config.committee_size, config.committee_rank
     committee = committee_select(e, k, q)
-    cost = float(q_social_cost(committee, d, q, e.n))
-    opt_committee = min(
-        float(q_social_cost(members, d, q, e.n))
-        for members in combinations(range(e.m), k)
-    )
+    every = list(combinations(range(e.m), k))
+    q_costs = _q_social_costs(dist, np.array(every), q)
     label = "+".join(str(c) for c in committee)
-    return ExperimentRecord(inst_seed, rule, label, cost, opt_committee)
+    cost = q_costs[every.index(committee.members)]
+    return ExperimentRecord(inst_seed, rule, label, cost, min(q_costs))
 
 
 def report_to_csv(report: ExperimentReport) -> str:

@@ -32,7 +32,7 @@ from .flow import (
     verify_flow,
 )
 from .matching import RationalMaxFlow
-from .metric import Metric, metric_from_csv, metric_to_csv, social_cost
+from .metric import Metric, metric_from_csv, metric_to_csv
 from .simplex import LPResult, LPStatus, linprog_max
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "Metric",
     "metric_from_csv",
     "metric_to_csv",
-    "social_cost",
     "LPResult",
     "LPStatus",
     "linprog_max",

@@ -10,12 +10,11 @@ holds for pseudo-metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Metric", "social_cost", "metric_to_csv", "metric_from_csv", "triangle_violations",
+    "Metric", "metric_to_csv", "metric_from_csv", "triangle_violations",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -83,12 +82,6 @@ class Metric:
                 f"triangle violation: d({v},{c}) = {d[v][c]} > "
                 f"d({v},{c2}) + d({v2},{c2}) + d({v2},{c}) = {bound}"
             )
-
-
-def social_cost(c: int, d: Metric | Sequence[Sequence[float]]):
-    """Total distance from candidate c to all voters."""
-    rows = d.d if isinstance(d, Metric) else d
-    return sum(row[c] for row in rows)
 
 
 def metric_to_csv(metric: Metric) -> str:

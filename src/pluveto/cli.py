@@ -116,6 +116,10 @@ def _load_weights(path: str, size: int, label: str) -> WeightVector:
         if not line or line.startswith("#"):
             continue
         try:
+            # Fraction expands 10**exponent in full; refuse more digits than int prints.
+            _, e, exponent = line.lower().rpartition("e")
+            if e and 0 < sys.get_int_max_str_digits() <= abs(int(exponent)):
+                raise ValueError
             entries.append(Fraction(line))
         except (ValueError, ZeroDivisionError):
             raise CliError(f"{path} line {lineno}: bad weight {line!r}")

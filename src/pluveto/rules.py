@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .core import Election, WeightVector, bottom_among, plurality_scores, top
 
 __all__ = [
@@ -28,7 +30,6 @@ __all__ = [
     "format_trace",
     "q_cost",
     "q_social_cost",
-    "committee_rank_key",
     "committee_select",
     "top_prefix_committees",
     "induced_committee_election",
@@ -295,22 +296,32 @@ def q_cost(v: int, committee: Committee | Iterable[int], d, q: int) -> float:
     return sorted(d[v][c] for c in members)[q - 1]
 
 
-def q_social_cost(committee: Committee | Iterable[int], d, q: int, n: int):
-    """Total q-cost over all voters."""
-    members = tuple(committee)
-    return sum(q_cost(v, members, d, q) for v in range(n))
+def q_social_cost(committee: Committee | Iterable[int], d, q: int, n: int) -> float:
+    """Total q-cost over voters 0..n-1, added left to right."""
+    rows = np.array([d[v] for v in range(n)])
+    return _q_social_costs(rows, np.array([tuple(committee)]), q)[0]
 
 
-def committee_rank_key(e: Election, v: int, committee: Committee, q: int):
-    """Sort key realizing voter v's strict order over equal-size committees.
+def _qth(x: np.ndarray, members: np.ndarray, q: int) -> np.ndarray:
+    """out[v, i]: the q-th smallest x[v, c] over the members c in row i."""
+    return np.partition(x[:, members], q - 1, axis=2)[:, :, q - 1]
 
-    Primary key: the rank (under v) of the committee's q-th favorite member.
-    Ties mean the q-th favorites coincide; they are broken lexicographically
-    on the sorted member tuples so the order is total and reproducible.
-    """
-    pos = e.positions[v]
-    qth = sorted(pos[c] for c in committee.members)[q - 1]
-    return (qth, committee.members)
+
+def _q_social_costs(d: np.ndarray, members: np.ndarray, q: int) -> list[float]:
+    """The q-social cost of each committee (a row of the index array
+    ``members``) under the n x m distances ``d``, adding voters left to right
+    as sum() does (np.sum's pairwise order changes the last bits).  Committees
+    go in blocks of at most metric._BLOCK_ENTRIES distances, or one at a time."""
+    from .certify import metric  # late import: the certify package imports rules
+
+    count, k = members.shape
+    if not 1 <= q <= k:
+        raise ValueError(f"q must be in 1..{k}, got {q}")
+    step = max(1, metric._BLOCK_ENTRIES // (len(d) * k))
+    costs: list[float] = []
+    for lo in range(0, count, step):
+        costs += np.cumsum(_qth(d, members[lo : lo + step], q), axis=0)[-1].tolist()
+    return costs
 
 
 def top_prefix_committees(e: Election, k: int) -> tuple[Committee, ...]:
@@ -324,14 +335,22 @@ def induced_committee_election(
     e: Election, committees: Sequence[Committee], q: int
 ) -> Election:
     """Each voter's strict ranking over ``committees`` (indices into that
-    sequence), ordered by :func:`committee_rank_key`."""
-    rankings = []
-    for v in range(e.n):
-        idx = sorted(
-            range(len(committees)),
-            key=lambda i: committee_rank_key(e, v, committees[i], q),
-        )
-        rankings.append(tuple(idx))
+    sequence) by her rank of the committee's q-th favorite member; ties go to
+    the lexicographically smaller member tuple, then to the lower index.
+    Voters are taken a block at a time, so no temporary exceeds
+    metric._BLOCK_ENTRIES bytes unless one voter's count * k positions do."""
+    from .certify import metric  # late import: the certify package imports rules
+
+    members = np.array([c.members for c in committees])
+    count, k = members.shape
+    lex = np.lexsort(members.T[::-1])  # tie-break order, kept by the stable sort below
+    dtype = np.min_scalar_type(e.m)
+    positions = np.argsort(np.array(e.rankings, dtype=dtype), axis=1).astype(dtype)
+    step = max(1, metric._BLOCK_ENTRIES // (count * k * 8))
+    rankings: list[tuple[int, ...]] = []
+    for lo in range(0, e.n, step):
+        qth = _qth(positions[lo : lo + step], members[lex], q)
+        rankings += map(tuple, lex[np.argsort(qth, axis=1, kind="stable")].tolist())
     return Election(tuple(rankings))
 
 

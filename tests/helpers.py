@@ -3,6 +3,7 @@
 from pluveto.bench import adaptive_peer_veto
 from pluveto.certify.metric import DEFAULT_TOL, Metric
 from pluveto.core import Election
+from pluveto.rules import Committee
 
 
 def is_valid(metric: Metric, tol: float = DEFAULT_TOL) -> bool:
@@ -33,3 +34,22 @@ def all_positive(metric: Metric) -> bool:
 def adaptive_winner_set(e: Election) -> frozenset[int]:
     """Winners of the adaptive peer-selection veto over all start agents."""
     return frozenset(adaptive_peer_veto(e, s)[0] for s in range(e.n))
+
+
+def social_cost(c: int, d) -> float:
+    """Total distance from candidate c to all voters, added left to right;
+    ``d`` is a Metric or a sequence of rows."""
+    rows = d.d if isinstance(d, Metric) else d
+    return sum(row[c] for row in rows)
+
+
+def committee_rank_key(e: Election, v: int, committee: Committee, q: int):
+    """Sort key realizing voter v's strict order over equal-size committees.
+
+    Primary key: the rank (under v) of the committee's q-th favorite member.
+    Ties mean the q-th favorites coincide; they are broken lexicographically
+    on the sorted member tuples so the order is total and reproducible.
+    """
+    pos = e.positions[v]
+    qth = sorted(pos[c] for c in committee.members)[q - 1]
+    return (qth, committee.members)

@@ -187,6 +187,13 @@ class TestExperiments:
         with pytest.raises(ValueError, match="unknown rule"):
             parse_config("rules = borda\ninstances = 1\nvoters = 2\ncandidates = 2\n")
 
+    @pytest.mark.parametrize("rules", ["", ",", " , "])
+    def test_empty_rule_list_rejected(self, rules):
+        with pytest.raises(ValueError, match="at least one rule"):
+            parse_config(f"rules = {rules}\ninstances = 1\nvoters = 2\ncandidates = 2\n")
+        with pytest.raises(ValueError, match="at least one rule"):
+            ExperimentConfig(rules=(), instances=1, voters=2, candidates=2)
+
     def test_missing_keys_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             parse_config("rules = plurality_veto\n")
@@ -261,7 +268,7 @@ def configs(draw):
     rule = st.sampled_from(["plurality_veto", "random_dictatorship", "committee_select"])
     rule |= st.integers(0, 99).map(lambda k: f"randomized_veto({k})")
     return ExperimentConfig(
-        rules=tuple(draw(st.lists(rule, max_size=4))),
+        rules=tuple(draw(st.lists(rule, min_size=1, max_size=4))),
         instances=draw(st.integers(1, 10**6)),
         voters=draw(st.integers(1, 10**6)),
         candidates=candidates,

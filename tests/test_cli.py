@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -108,6 +110,24 @@ class TestCertify:
             capsys, "certify", ballots, "--p", str(p), "--q", str(q)
         )
         assert code == 1 and "entries" in err
+
+    @pytest.mark.parametrize("weight", ["1e10000000", "1E-10000000"])
+    def test_huge_exponent_is_a_bad_weight(self, ballots, tmp_path, capsys, weight):
+        # Fraction would spend seconds expanding 10**exponent; the line is
+        # refused before that
+        path = tmp_path / "w.weights"
+        path.write_text(f"1/4\n{weight}\n1/4\n1/4\n")
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "distortion", ballots, "--weights", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert err == f"error: {path} line 2: bad weight {weight!r}\n"
+
+    def test_exponent_within_the_digit_limit_is_read(self, ballots, tmp_path, capsys):
+        path = tmp_path / "w.weights"
+        path.write_text("25e-2\n2.5E-1\n0.025e1\n250e-3\n")
+        code, _, err = run_cli(capsys, "distortion", ballots, "--weights", str(path))
+        assert code == 0, err
 
 
 class TestDistortion:
@@ -290,6 +310,18 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1 and err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("rules", ["rules =", "rules = ,", "rules = , ,"])
+    def test_empty_rule_list_is_an_input_error(self, tmp_path, capsys, rules):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(rules + "\ninstances = 1\nvoters = 3\ncandidates = 2\n")
+        out_csv = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(out_csv)
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: {cfg}: rules must name at least one rule\n"
+        assert not out_csv.exists()
+
 
 weight_texts = st.one_of(
     st.lists(
@@ -297,7 +329,7 @@ weight_texts = st.one_of(
                          "-1/4", "1/0", "x", "", "# note", "+0.5", "1_0"]),
         max_size=6,
     ).map("\n".join),
-    st.text(alphabet="0123456789/-+. #x\n", max_size=30),
+    st.text(alphabet="0123456789/-+. #xeE\n", max_size=30),
     st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(any).map(
         lambda counts: "# weights\n" + "\n".join(f"{c}/{sum(counts)}" for c in counts)
     ),

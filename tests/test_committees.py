@@ -1,20 +1,33 @@
+import importlib
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from pluveto.bench import generate_euclidean
+from pluveto.bench import (
+    ExperimentRecord,
+    ExperimentReport,
+    generate_euclidean,
+    parse_config,
+    peer_selection,
+    report_to_csv,
+    run_experiment,
+)
 from pluveto.core import Election
 from pluveto.rules import (
     Committee,
-    committee_rank_key,
+    _q_social_costs,
     committee_select,
     induced_committee_election,
     plurality_veto,
     q_cost,
     q_social_cost,
+    randomized_veto,
     top_prefix_committees,
 )
+
+from helpers import committee_rank_key, social_cost
 
 
 def exhaustive_committee_winner(e, k, q, order=None):
@@ -177,3 +190,192 @@ class TestQCostMetricProperty:
                                 + q_cost(v2, first, d, q)
                             )
                             assert lhs <= rhs + 1e-9
+
+
+# --- the numpy q-costs and induced rankings against the loops they replace ---
+
+
+def loop_q_cost(v, committee, d, q):
+    return sorted(d[v][c] for c in tuple(committee))[q - 1]
+
+
+def loop_q_social_cost(committee, d, q, n):
+    members = tuple(committee)
+    return sum(loop_q_cost(v, members, d, q) for v in range(n))
+
+
+def loop_induced_committee_election(e, committees, q):
+    rankings = []
+    for v in range(e.n):
+        idx = sorted(
+            range(len(committees)),
+            key=lambda i: committee_rank_key(e, v, committees[i], q),
+        )
+        rankings.append(tuple(idx))
+    return Election(tuple(rankings))
+
+
+def loop_committee_select(e, k, q, order=None):
+    committees = top_prefix_committees(e, k)
+    induced = loop_induced_committee_election(e, committees, q)
+    return committees[plurality_veto(induced, order).winner]
+
+
+def loop_report(config):
+    """run_experiment as it was written with Python loops and sum()."""
+    records = []
+    for i in range(config.instances):
+        seed = config.seed * 1_000_003 + i
+        e, d = generate_euclidean(
+            config.voters, config.candidates, config.dim, config.distribution, seed
+        )
+        opt = min(social_cost(c, d) for c in range(e.m))
+        for rule in config.rules:
+            if rule == "plurality_veto":
+                winner = plurality_veto(e).winner
+                records.append(ExperimentRecord(
+                    seed, rule, str(winner), social_cost(winner, d), opt))
+            elif rule == "committee_select":
+                k, q = config.committee_size, config.committee_rank
+                committee = loop_committee_select(e, k, q)
+                opt_committee = min(
+                    float(loop_q_social_cost(members, d, q, e.n))
+                    for members in combinations(range(e.m), k)
+                )
+                records.append(ExperimentRecord(
+                    seed, rule, "+".join(str(c) for c in committee),
+                    float(loop_q_social_cost(committee, d, q, e.n)), opt_committee))
+            else:
+                rounds = 0 if rule == "random_dictatorship" else min(
+                    int(rule[len("randomized_veto("):-1]), e.n - 1)
+                w = randomized_veto(e, rounds)
+                records.append(ExperimentRecord(
+                    seed, rule, " ".join(f"{x.numerator}/{x.denominator}" for x in w),
+                    float(sum(float(x) * social_cost(c, d) for c, x in enumerate(w))),
+                    opt))
+    return ExperimentReport(config, tuple(records))
+
+
+def seeded_instances(count, seed):
+    """(election, metric) pairs: Euclidean in one and two dimensions, and
+    peer selection over repeated points, which gives zero distances and ties.
+    The sizes cover m = 1 and n = 1."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = i % 3
+        if kind == 2:
+            points = [float(rng.randint(0, 3)) for _ in range(rng.randint(1, 8))]
+            e, d, _ = peer_selection(points)
+        else:
+            n, m = rng.randint(1, 12), rng.randint(1, 6)
+            e, d = generate_euclidean(
+                n, m, kind + 1, rng.choice(["uniform", "gaussian"]), rng.randint(0, 10**6)
+            )
+        yield rng, e, d
+
+
+def assert_matches_loops(instances):
+    for rng, e, d in instances:
+        n, m = e.n, e.m
+        k = rng.randint(1, m)
+        every = [Committee(c) for c in combinations(range(m), k)]
+        shuffled = rng.sample(every, len(every))
+        prefixes = top_prefix_committees(e, k)
+        for q in range(1, k + 1):
+            costs = _q_social_costs(np.array(d.d), np.array([c.members for c in shuffled]), q)
+            assert costs == [loop_q_social_cost(c, d, q, n) for c in shuffled]
+            assert all(type(x) is float for x in costs)
+            for c in every:
+                assert q_social_cost(c, d, q, n) == loop_q_social_cost(c, d, q, n)
+            for committees in (prefixes, every, shuffled, shuffled + shuffled[:2]):
+                assert induced_committee_election(e, committees, q) == (
+                    loop_induced_committee_election(e, committees, q)
+                )
+            if 2 * q > k:
+                order = tuple(rng.sample(range(n), n))
+                assert committee_select(e, k, q, order) == loop_committee_select(
+                    e, k, q, order
+                )
+
+
+class TestAgainstLoops:
+    """The array code must give the loops' values bit for bit: the simulate
+    CSV prints them with repr."""
+
+    def test_seeded_elections(self):
+        assert_matches_loops(seeded_instances(330, seed=41))
+
+    def test_edge_sizes(self):
+        rng = random.Random(3)
+        shapes = [(1, 1), (5, 1), (1, 4), (6, 3), (7, 5)]
+        for n, m in shapes:
+            e, d = generate_euclidean(n, m, 2, "gaussian", rng.randint(0, 10**6))
+            # every k from 1 to m, so k = 1, k = m and q = k all occur
+            for k in range(1, m + 1):
+                every = [Committee(c) for c in combinations(range(m), k)]
+                for q in range(1, k + 1):
+                    assert induced_committee_election(e, every, q) == (
+                        loop_induced_committee_election(e, every, q)
+                    )
+                    for c in every:
+                        assert q_social_cost(c, d, q, n) == loop_q_social_cost(c, d, q, n)
+
+    def test_small_blocks(self, monkeypatch):
+        # 7 entries a block: every call runs several committee or voter
+        # blocks, and some single rows exceed the block
+        monkeypatch.setattr(importlib.import_module("pluveto.certify.metric"),
+                            "_BLOCK_ENTRIES", 7)
+        assert_matches_loops(seeded_instances(60, seed=43))
+        config = parse_config(TestReportBytes.CONFIGS[0])
+        assert report_to_csv(run_experiment(config)) == report_to_csv(loop_report(config))
+
+    def test_blocks_bound_the_temporaries(self, monkeypatch):
+        sizes = []
+        partition = np.partition
+
+        def recording(a, *args, **kwargs):
+            sizes.append(a.size)
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", recording)
+        monkeypatch.setattr(importlib.import_module("pluveto.certify.metric"),
+                            "_BLOCK_ENTRIES", 100)
+        e, d = generate_euclidean(10, 6, 2, "uniform", 8)
+        every = np.array(list(combinations(range(6), 3)))
+        # 20 committees of 3 over 10 voters: 3 committees a block
+        _q_social_costs(np.array(d.d), every, 2)
+        assert sizes == [90] * 6 + [60]
+        # 60 gathered positions a voter, budgeted at 8 bytes each (the
+        # widest temporary, the sort's indices, has 8 bytes per committee):
+        # 2000 bytes hold 4 voters
+        sizes.clear()
+        monkeypatch.setattr(importlib.import_module("pluveto.certify.metric"),
+                            "_BLOCK_ENTRIES", 2000)
+        induced = induced_committee_election(e, [Committee(c) for c in every.tolist()], 2)
+        assert sizes == [240, 240, 120]
+        assert induced == loop_induced_committee_election(
+            e, [Committee(c) for c in every.tolist()], 2)
+
+
+class TestReportBytes:
+    CONFIGS = [
+        "rules = plurality_veto, random_dictatorship, randomized_veto(3), committee_select\n"
+        "instances = 6\nvoters = 9\ncandidates = 5\ndim = 2\ndistribution = gaussian\n"
+        "seed = 1\ncommittee_size = 3\ncommittee_rank = 2\n",
+        "rules = committee_select, plurality_veto\ninstances = 5\nvoters = 12\n"
+        "candidates = 4\ndim = 1\ndistribution = uniform\nseed = 2\n"
+        "committee_size = 4\ncommittee_rank = 4\n",
+        "rules = committee_select, randomized_veto(20)\ninstances = 4\nvoters = 1\n"
+        "candidates = 3\ndim = 3\ndistribution = gaussian\nseed = 3\n"
+        "committee_size = 1\ncommittee_rank = 1\n",
+        "rules = committee_select, plurality_veto\ninstances = 4\nvoters = 7\n"
+        "candidates = 1\ndistribution = uniform\nseed = 4\n"
+        "committee_size = 1\ncommittee_rank = 1\n",
+        "rules = committee_select\ninstances = 3\nvoters = 40\ncandidates = 8\n"
+        "dim = 2\ndistribution = uniform\nseed = 5\ncommittee_size = 5\ncommittee_rank = 3\n",
+    ]
+
+    @pytest.mark.parametrize("text", CONFIGS)
+    def test_csv_matches_the_loops(self, text):
+        config = parse_config(text)
+        assert report_to_csv(run_experiment(config)) == report_to_csv(loop_report(config))

@@ -12,13 +12,12 @@ from pluveto.certify.distortion import (
     distortion,
     worst_case_distortion,
 )
-from pluveto.certify.metric import social_cost
 from pluveto.certify.simplex import LPStatus, linprog_max
 from pluveto.bench import generate_euclidean
 from pluveto.rules import plurality_veto, randomized_veto
 
 from conftest import random_election
-from helpers import consistent_with, is_valid
+from helpers import consistent_with, is_valid, social_cost
 
 
 class TestWorstCaseDistortion:

@@ -206,7 +206,7 @@ class TestMatchingImpliesBoundedCost:
         # a perfect matching certifies a factor-3 cost bound; spot-check it
         # against 100 sampled consistent metrics
         from pluveto.bench import generate_euclidean
-        from pluveto.certify.metric import social_cost
+        from helpers import social_cost
 
         rng = random.Random(53)
         checked = 0

@@ -10,11 +10,10 @@ from pluveto.certify.metric import (
     Metric,
     metric_from_csv,
     metric_to_csv,
-    social_cost,
     triangle_violations,
 )
 
-from helpers import all_positive, consistent_with, is_valid
+from helpers import all_positive, consistent_with, is_valid, social_cost
 
 
 def loop_validation_error(d, tol=1e-9):
