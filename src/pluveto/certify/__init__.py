@@ -21,7 +21,6 @@ from .domination import (
 )
 from .flow import (
     DualReport,
-    DualSolution,
     FlowAssignment,
     FlowCheck,
     FlowError,
@@ -49,7 +48,6 @@ __all__ = [
     "is_fractional_perfect_matching",
     "verify_veto_matching",
     "DualReport",
-    "DualSolution",
     "FlowAssignment",
     "FlowCheck",
     "FlowError",

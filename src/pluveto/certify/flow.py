@@ -16,12 +16,14 @@ All flow arithmetic uses exact rationals.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import Election, WeightVector
-from ..rules import VetoTrace, scores_after, validate_trace
+from ..core import Election, WeightVector, parse_fraction
+from ..rules import VetoTrace, _veto_rounds, validate_trace
 
 __all__ = [
     "Node",
@@ -29,7 +31,6 @@ __all__ = [
     "FlowAssignment",
     "FlowError",
     "FlowCheck",
-    "DualSolution",
     "DualReport",
     "construct_flow",
     "verify_flow",
@@ -46,14 +47,6 @@ class FlowError(ValueError):
     """A structural or conservation defect, pinpointed to a node or edge."""
 
 
-def _is_preference_edge(e: Election, tail: Node, head: Node) -> bool:
-    return tail[0] == head[0] and e.prefers(tail[0], tail[1], head[1])
-
-
-def _is_sideways_edge(tail: Node, head: Node) -> bool:
-    return tail[1] == head[1] and tail[0] != head[0]
-
-
 @dataclass(frozen=True)
 class FlowAssignment:
     """Edge flows plus the injection distribution and the absorbing column."""
@@ -62,9 +55,6 @@ class FlowAssignment:
     w: WeightVector
     cstar: int
 
-    def amount(self, tail: Node, head: Node) -> Fraction:
-        return self.flows.get((tail, head), Fraction(0))
-
 
 @dataclass(frozen=True)
 class FlowCheck:
@@ -72,12 +62,7 @@ class FlowCheck:
     cost: Fraction
 
 
-def verify_flow(
-    e: Election,
-    g: FlowAssignment,
-    w: WeightVector | None = None,
-    cstar: int | None = None,
-) -> FlowCheck:
+def verify_flow(e: Election, g: FlowAssignment) -> FlowCheck:
     """Check a claimed certificate and account its per-voter costs.
 
     Raises :class:`FlowError` naming the offending edge or node when an
@@ -85,8 +70,7 @@ def verify_flow(
     outside the absorbing column fails conservation (injection + inflow =
     outflow).  Absorption in column c* must be non-negative at every node.
     """
-    w = g.w if w is None else w
-    cstar = g.cstar if cstar is None else cstar
+    w, cstar = g.w, g.cstar
     n, m = e.n, e.m
     if len(w) != m:
         raise FlowError(f"w has {len(w)} entries for {m} candidates")
@@ -100,8 +84,8 @@ def verify_flow(
             raise FlowError(f"negative flow {amount} on edge {tail}->{head}")
         if not (0 <= tail[0] < n and 0 <= head[0] < n and 0 <= tail[1] < m and 0 <= head[1] < m):
             raise FlowError(f"edge {tail}->{head} leaves the node grid")
-        sideways = _is_sideways_edge(tail, head)
-        if not (sideways or _is_preference_edge(e, tail, head)):
+        sideways = tail[1] == head[1] and tail[0] != head[0]
+        if not (sideways or (tail[0] == head[0] and e.prefers(tail[0], tail[1], head[1]))):
             raise FlowError(f"flow on nonexistent edge {tail}->{head}")
         outflow[tail] = outflow.get(tail, Fraction(0)) + amount
         inflow[head] = inflow.get(head, Fraction(0)) + amount
@@ -156,7 +140,7 @@ def construct_flow(
     except ValueError as exc:
         raise FlowError(f"trace inconsistent with election: {exc}") from exc
     denom = n - k
-    residual = scores_after(e, trace, k)
+    _, residual = _veto_rounds(e, [r.voter for r in trace.rounds], k)
     w = WeightVector(tuple(Fraction(s, denom) for s in residual))
     flows: dict[Edge, Fraction] = {}
 
@@ -193,22 +177,6 @@ def construct_flow(
 
 
 @dataclass(frozen=True)
-class DualSolution:
-    """Multipliers for the distortion LP's dual, read off a flow.
-
-    ``consistency[(v, c, c')]`` carries the preference-edge flow
-    (v, c) -> (v, c'); ``triangle[(v, v', c, cstar)]`` carries the sideways
-    flow (v, c) -> (v', c); alpha equals the flow's cost.  Every other
-    multiplier is zero.
-    """
-
-    alpha: Fraction
-    consistency: dict[tuple[int, int, int], Fraction]
-    triangle: dict[tuple[int, int, int, int], Fraction]
-    cstar: int
-
-
-@dataclass(frozen=True)
 class DualReport:
     feasible: bool
     objective: Fraction
@@ -216,14 +184,16 @@ class DualReport:
     violations: tuple[str, ...]
 
 
-def dual_from_flow(
-    e: Election, g: FlowAssignment, check: FlowCheck
-) -> tuple[DualSolution, DualReport]:
-    """Translate a valid flow into dual multipliers and check feasibility.
+def dual_from_flow(e: Election, g: FlowAssignment, check: FlowCheck) -> DualReport:
+    """Read a valid flow as multipliers for the distortion LP's dual and
+    check their feasibility.
 
     ``check`` is the result of :func:`verify_flow` on ``g``; its cost becomes
-    alpha.  The report evaluates both dual constraint families with exact
-    arithmetic: one inequality per voter against alpha, and one per
+    alpha.  Every flow edge is one multiplier: a preference edge
+    (v, c) -> (v, c') for a consistency row, a sideways edge (v, c) -> (v', c)
+    for a triangle row through c*; every other multiplier is zero.  The
+    report evaluates both dual constraint families with exact arithmetic:
+    one inequality per voter against alpha, and one per
     (voter, candidate != c*) that reduces to zero net flow at that node.
     An infeasible report signals a defect in the flow or the translation.
     """
@@ -231,29 +201,19 @@ def dual_from_flow(
     alpha = check.cost
     w = g.w
     n, m = e.n, e.m
-    consistency: dict[tuple[int, int, int], Fraction] = {}
-    triangle: dict[tuple[int, int, int, int], Fraction] = {}
-    for (tail, head), amount in g.flows.items():
-        if amount == 0:
-            continue
-        if _is_preference_edge(e, tail, head):
-            consistency[(tail[0], tail[1], head[1])] = amount
-        else:
-            triangle[(tail[0], head[0], tail[1], cstar)] = amount
-
     zero = Fraction(0)
     # family-one accumulator per voter, family-two per (voter, candidate)
     s1 = [zero] * n
     s2 = [[zero] * m for _ in range(n)]
-    for (v, c, c2), amount in consistency.items():
-        if c == cstar:
-            s1[v] += amount
-        if c2 == cstar:
-            s1[v] -= amount
-        s2[v][c] += amount
-        s2[v][c2] -= amount
-    for (v, v2, c, _), amount in triangle.items():
-        if c == cstar:
+    for ((v, c), (v2, c2)), amount in g.flows.items():
+        if v == v2:  # verify_flow admits only preference edges within a row
+            if c == cstar:
+                s1[v] += amount
+            if c2 == cstar:
+                s1[v] -= amount
+            s2[v][c] += amount
+            s2[v][c2] -= amount
+        elif c == cstar:
             # the entry matches one positive and one negative pattern for the
             # sender, and two negative patterns for the receiver
             s1[v2] -= 2 * amount
@@ -280,13 +240,12 @@ def dual_from_flow(
                 violations.append(
                     f"node ({v},{c}): net outflow {s2[v][c]} below injection {w[c]}"
                 )
-    report = DualReport(
+    return DualReport(
         feasible=not violations,
         objective=alpha,
         voter_totals=tuple(voter_totals),
         violations=tuple(violations),
     )
-    return DualSolution(alpha, consistency, triangle, cstar), report
 
 
 _EDGE_RE = re.compile(
@@ -307,9 +266,15 @@ def format_flow(g: FlowAssignment) -> str:
 
 def parse_flow(text: str) -> dict[Edge, Fraction]:
     """Parse the edge-list format; amounts may be fractions or decimals.
-    An edge given twice is rejected, naming both lines."""
+    An edge given twice is rejected, naming both lines.  So is the line at
+    which lcm(denominators) * (1 + 2 * sum |amount|), a bound on every total
+    that :func:`verify_flow` and :func:`dual_from_flow` report, comes within
+    20 digits (room for the weights' denominator n - k) of the integer digit
+    limit, past which no message could print the total."""
     flows: dict[Edge, Fraction] = {}
     first_line: dict[Edge, int] = {}
+    limit = sys.get_int_max_str_digits()
+    lcm, total = 1, Fraction(0)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -319,7 +284,7 @@ def parse_flow(text: str) -> dict[Edge, Fraction]:
             raise FlowError(f"line {lineno}: cannot parse flow edge {line!r}")
         v, c, v2, c2 = (int(match.group(i)) for i in range(1, 5))
         try:
-            amount = Fraction(match.group(5))
+            amount = parse_fraction(match.group(5))
         except (ValueError, ZeroDivisionError):
             raise FlowError(f"line {lineno}: bad amount {match.group(5)!r}")
         edge = ((v, c), (v2, c2))
@@ -330,4 +295,12 @@ def parse_flow(text: str) -> dict[Edge, Fraction]:
             )
         first_line[edge] = lineno
         flows[edge] = amount
+        if limit:
+            lcm = math.lcm(lcm, amount.denominator)
+            total += abs(amount)
+            if lcm * (1 + 2 * total) >= 10 ** (limit - 20):
+                raise FlowError(
+                    f"line {lineno}: exact flow totals would need more than "
+                    f"{limit - 20} digits"
+                )
     return flows

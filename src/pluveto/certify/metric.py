@@ -65,11 +65,15 @@ class Metric:
         return self.d[v]
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Raise ValueError on a negative entry or a four-point triangle
-        violation beyond ``tol``; the first one in (v, c) or (v, v2, c, c2)
-        order is reported."""
+        """Raise ValueError on a non-finite entry, a negative entry or a
+        four-point triangle violation beyond ``tol``; the first one in (v, c)
+        or (v, v2, c, c2) order is reported."""
         d = self.d
         array = np.array(d)
+        infinite = np.argwhere(~np.isfinite(array))
+        if len(infinite):
+            v, c = (int(i) for i in infinite[0])
+            raise ValueError(f"non-finite distance d({v},{c}) = {d[v][c]}")
         negative = np.argwhere(array < -tol)
         if len(negative):
             v, c = (int(i) for i in negative[0])

@@ -45,7 +45,7 @@ from .certify.flow import (
     verify_flow,
 )
 from .certify.metric import metric_to_csv
-from .core import BallotParseError, WeightVector, parse_election
+from .core import BallotParseError, WeightVector, parse_election, parse_fraction
 from .rules import (
     committee_select,
     format_trace,
@@ -116,11 +116,7 @@ def _load_weights(path: str, size: int, label: str) -> WeightVector:
         if not line or line.startswith("#"):
             continue
         try:
-            # Fraction expands 10**exponent in full; refuse more digits than int prints.
-            _, e, exponent = line.lower().rpartition("e")
-            if e and 0 < sys.get_int_max_str_digits() <= abs(int(exponent)):
-                raise ValueError
-            entries.append(Fraction(line))
+            entries.append(parse_fraction(line))
         except (ValueError, ZeroDivisionError):
             raise CliError(f"{path} line {lineno}: bad weight {line!r}")
     if len(entries) != size:
@@ -306,21 +302,20 @@ def _cmd_flow(args) -> int:
     if not 0 <= args.cstar < e.m:
         raise CliError(f"--cstar out of range 0..{e.m - 1}")
     order = _parse_order(args.order, e.n)
-    w = randomized_veto(e, args.k, order)
     if args.verify:
         try:
             flows = parse_flow(_read(args.verify))
         except FlowError as exc:
             raise CliError(f"{args.verify}: {exc}")
-        assignment = FlowAssignment(flows, w, args.cstar)
+        assignment = FlowAssignment(flows, randomized_veto(e, args.k, order), args.cstar)
     else:
         assignment = construct_flow(e, plurality_veto(e, order), args.k, args.cstar)
     try:
-        check = verify_flow(e, assignment, w, args.cstar)
+        check = verify_flow(e, assignment)
     except FlowError as exc:
         print(f"FAIL flow-verification: {exc}")
         return 1
-    _, dual_report = dual_from_flow(e, assignment, check)
+    dual_report = dual_from_flow(e, assignment, check)
     if args.out:
         _atomic_write(args.out, format_flow(assignment))
     for v, cost in enumerate(check.per_voter_costs):

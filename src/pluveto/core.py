@@ -8,6 +8,7 @@ order, so serialization is deterministic.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -26,6 +27,7 @@ __all__ = [
     "top",
     "bottom_among",
     "plurality_scores",
+    "parse_fraction",
 ]
 
 
@@ -182,6 +184,15 @@ class WeightVector:
         if total <= 0:
             raise ValueError(f"counts must have a positive total, got {total}")
         return cls(tuple(Fraction(c, total) for c in counts))
+
+
+def parse_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a decimal exponent of at least the integer
+    digit limit, which Fraction would spend seconds expanding in full."""
+    _, e, exponent = text.lower().rpartition("e")
+    if e and 0 < sys.get_int_max_str_digits() <= abs(int(exponent)):
+        raise ValueError(f"exponent of {text!r} exceeds the integer digit limit")
+    return Fraction(text)
 
 
 def parse_election(text: str) -> Election:

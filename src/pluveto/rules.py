@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,28 +26,24 @@ __all__ = [
     "fractional_veto",
     "randomized_veto",
     "validate_trace",
-    "scores_after",
     "format_trace",
     "q_cost",
     "q_social_cost",
     "committee_select",
     "top_prefix_committees",
     "induced_committee_election",
-    "lowest_index_policy",
 ]
 
 
-@dataclass(frozen=True)
-class VetoRound:
+class VetoRound(NamedTuple):
     """One round of the veto stage.
 
-    ``index`` is 1-based.  ``active`` is the candidate set with positive score
-    at the start of the round, ``vetoed`` the round voter's bottom choice in
-    it, and ``paired_voter`` the distinct voter whose first-place vote this
-    veto cancels (their top choice equals ``vetoed``).
+    ``active`` is the candidate set with positive score at the start of the
+    round, ``vetoed`` the round voter's bottom choice in it, and
+    ``paired_voter`` the distinct voter whose first-place vote this veto
+    cancels (their top choice equals ``vetoed``).
     """
 
-    index: int
     voter: int
     active: frozenset[int]
     vetoed: int
@@ -57,13 +53,11 @@ class VetoRound:
 @dataclass(frozen=True)
 class VetoTrace:
     rounds: tuple[VetoRound, ...]
-    final_scores: tuple[int, ...]
-    winner: int
 
     @property
-    def pairing(self) -> tuple[int, ...]:
-        """paired voter per round, i.e. the matching round-voter -> canceled voter."""
-        return tuple(r.paired_voter for r in self.rounds)
+    def winner(self) -> int:
+        """The last candidate whose score reached zero."""
+        return self.rounds[-1].vetoed
 
 
 def _check_order(order: Sequence[int] | None, n: int) -> tuple[int, ...]:
@@ -92,12 +86,10 @@ def plurality_veto(e: Election, order: Sequence[int] | None = None) -> VetoTrace
     queues: dict[int, deque[int]] = {c: deque() for c in range(e.m)}
     for v, ranking in enumerate(e.rankings):
         queues[ranking[0]].append(v)
-    replay, scores = _veto_rounds(e, order, e.n)
-    rounds = tuple(
-        VetoRound(i, v, active, c, queues[c].popleft())
-        for i, (v, active, c) in enumerate(replay, start=1)
-    )
-    return VetoTrace(rounds, tuple(scores), rounds[-1].vetoed)
+    replay, _ = _veto_rounds(e, order, e.n)
+    return VetoTrace(tuple(
+        VetoRound(v, active, c, queues[c].popleft()) for v, active, c in replay
+    ))
 
 
 def _veto_rounds(e: Election, order: Sequence[int], k: int):
@@ -123,18 +115,17 @@ def _veto_rounds(e: Election, order: Sequence[int], k: int):
 def validate_trace(e: Election, trace: VetoTrace) -> None:
     """Replay a recorded veto run against its election and raise ValueError
     on the first divergence: wrong active set, wrong bottom choice, a paired
-    voter whose top choice is not the vetoed candidate, a non-bijective
-    pairing, or leftover score."""
+    voter whose top choice is not the vetoed candidate, or a non-bijective
+    pairing.  A replay of n rounds from plurality scores that sum to n leaves
+    every score at zero, so no score is left to check."""
     if len(trace.rounds) != e.n:
         raise ValueError(
             f"trace has {len(trace.rounds)} rounds for {e.n} voters"
         )
-    replay, scores = _veto_rounds(e, [r.voter for r in trace.rounds], e.n)
+    replay, _ = _veto_rounds(e, [r.voter for r in trace.rounds], e.n)
     seen_voters: set[int] = set()
     seen_paired: set[int] = set()
     for i, (r, (_, active, vetoed)) in enumerate(zip(trace.rounds, replay), start=1):
-        if r.index != i:
-            raise ValueError(f"round {i} is labeled {r.index}")
         if r.active != active:
             raise ValueError(f"round {i}: recorded active set {sorted(r.active)} "
                              f"differs from replay {sorted(active)}")
@@ -148,22 +139,6 @@ def validate_trace(e: Election, trace: VetoTrace) -> None:
         seen_paired.add(r.paired_voter)
     if len(seen_voters) != e.n or len(seen_paired) != e.n:
         raise ValueError("trace pairing is not a bijection on voters")
-    if any(scores):
-        raise ValueError(f"scores nonzero after a full run: {tuple(scores)}")
-    if trace.winner != trace.rounds[-1].vetoed:
-        raise ValueError("recorded winner is not the last vetoed candidate")
-    if tuple(trace.final_scores) != tuple(scores):
-        raise ValueError("recorded final scores differ from replay")
-
-
-def scores_after(e: Election, trace: VetoTrace, k: int) -> tuple[int, ...]:
-    """Residual scores after the first k rounds of a recorded veto run."""
-    if not 0 <= k <= e.n:
-        raise ValueError(f"k must be in 0..{e.n}, got {k}")
-    scores = list(plurality_scores(e))
-    for r in trace.rounds[:k]:
-        scores[r.vetoed] -= 1
-    return tuple(scores)
 
 
 def randomized_veto(
@@ -203,61 +178,49 @@ class FractionalTrace:
         return w
 
 
-def lowest_index_policy(weights: Sequence[Fraction]) -> int:
-    """Default voter selection for the fractional rule: lowest positive index."""
-    for v, w in enumerate(weights):
-        if w > 0:
-            return v
-    raise ValueError("no voter with positive weight")
-
-
 def fractional_veto(
-    e: Election,
-    p: WeightVector,
-    q: WeightVector,
-    voter_policy: Callable[[Sequence[Fraction]], int] = lowest_index_policy,
+    e: Election, p: WeightVector, q: WeightVector, order: Sequence[int] | None = None
 ) -> FractionalTrace:
     """Weight-decrementing generalization of the veto rule over arbitrary
     simplex weights p (voters) and q (candidates).
 
-    Each step picks a voter with positive weight (via ``voter_policy``),
-    finds her bottom choice c among positive-weight candidates, and moves
-    epsilon = min(weight(voter), weight(c)) off both.  All arithmetic is
-    exact, so the run finishes in at most n + m steps and the recorded
-    steps form a fractional perfect matching of the winner's weighted
-    domination graph.
+    Voters act in ``order`` (default: index order), each until their weight
+    is spent: a step finds their bottom choice c among positive-weight
+    candidates and moves epsilon = min(weight(voter), weight(c)) off both.  All
+    arithmetic is exact, so the run finishes in at most n + m steps and the
+    recorded steps form a fractional perfect matching of the winner's
+    weighted domination graph.
     """
     if len(p) != e.n:
         raise ValueError(f"p must have one entry per voter ({e.n}), got {len(p)}")
     if len(q) != e.m:
         raise ValueError(f"q must have one entry per candidate ({e.m}), got {len(q)}")
-    voter_weight = list(p.entries)
     cand_weight = list(q.entries)
     steps: list[FractionalStep] = []
     winner = -1
-    while any(w > 0 for w in voter_weight):
-        v = voter_policy(voter_weight)
-        if voter_weight[v] <= 0:
-            raise ValueError(f"voter policy picked voter {v} with zero weight")
-        active = [c for c in range(e.m) if cand_weight[c] > 0]
-        c = bottom_among(e, v, active)
-        eps = min(voter_weight[v], cand_weight[c])
-        voter_weight[v] -= eps
-        cand_weight[c] -= eps
-        steps.append(FractionalStep(v, c, eps))
-        winner = c
+    for v in _check_order(order, e.n):
+        weight = p[v]
+        while weight > 0:
+            active = [c for c in range(e.m) if cand_weight[c] > 0]
+            c = bottom_among(e, v, active)
+            eps = min(weight, cand_weight[c])
+            weight -= eps
+            cand_weight[c] -= eps
+            steps.append(FractionalStep(v, c, eps))
+            winner = c
     return FractionalTrace(tuple(steps), winner)
 
 
 def format_trace(trace: VetoTrace) -> str:
-    """One round per line: ``i, v_i, {active set}, vetoed, paired voter``."""
+    """One round per line: ``i, v_i, {active set}, vetoed, paired voter``,
+    with rounds numbered from 1."""
     labels: dict[frozenset[int], str] = {}
     lines = []
-    for r in trace.rounds:
+    for i, r in enumerate(trace.rounds, start=1):
         if r.active not in labels:
             labels[r.active] = " ".join(str(c) for c in sorted(r.active))
         active = labels[r.active]
-        lines.append(f"{r.index}, {r.voter}, {{{active}}}, {r.vetoed}, {r.paired_voter}")
+        lines.append(f"{i}, {r.voter}, {{{active}}}, {r.vetoed}, {r.paired_voter}")
     return "\n".join(lines) + "\n"
 
 

@@ -162,7 +162,7 @@ def flow_lp_suite():
             for cstar in range(m):
                 g = construct_flow(e, trace, k, cstar)
                 check = verify_flow(e, g)
-                _, dual_report = dual_from_flow(e, g, check)
+                dual_report = dual_from_flow(e, g, check)
                 lp = worst_case_distortion(e, w, cstar)
                 per_cstar.append(
                     (check.cost, dual_report.feasible, dual_report.objective,

@@ -30,10 +30,13 @@ class TestRun:
     def test_winner_and_trace(self, ballots, capsys):
         code, out, _ = run_cli(capsys, "run", ballots, "--order", "0,1,2,3", "--trace")
         assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "winner: 0"
-        assert lines[1] == "1, 0, {0 1 3}, 3, 3"
-        assert len(lines) == 5
+        assert out.splitlines() == [
+            "winner: 0",
+            "1, 0, {0 1 3}, 3, 3",
+            "2, 1, {0 1}, 1, 2",
+            "3, 2, {0}, 0, 0",
+            "4, 3, {0}, 0, 1",
+        ]
 
     def test_byte_identical_reruns(self, ballots, capsys):
         first = run_cli(capsys, "run", ballots, "--trace")
@@ -232,6 +235,42 @@ class TestFlow:
         )
         assert code == 1
         assert "FAIL flow-verification" in out
+
+    def test_dual_infeasible_flow_fails(self, ballots, tmp_path, capsys):
+        # the reference flow plus sideways flow inside column c* = 3 is a
+        # valid flow of cost 7/2, but its dual load on voter 1 is 4
+        lines = [
+            f"({t[0]},{t[1]})->({h[0]},{h[1]}): {a}"
+            for (t, h), a in REFERENCE_FLOW.items()
+        ]
+        path = tmp_path / "sideways.flow"
+        path.write_text("\n".join(lines + ["(0,3)->(1,3): 1/2"]) + "\n")
+        code, out, _ = run_cli(
+            capsys, "flow", ballots, "--k", "1", "--cstar", "3",
+            "--verify", str(path),
+        )
+        assert code == 1
+        assert "cost: 7/2" in out
+        assert out.splitlines()[-1] == "FAIL dual-feasibility (objective 7/2)"
+
+    @pytest.mark.parametrize("text, line", [
+        ("(0,0)->(0,1): 1e10000000\n", 1),
+        ("(0,0)->(0,1): 1e-1000000\n", 1),
+        # two amounts into node (0,0): their sum's denominator has 5,001 digits
+        (f"(1,0)->(0,0): 1/{10**2500 + 1}\n(2,0)->(0,0): 1/{10**2500 + 3}\n", 2),
+    ], ids=["huge-exponent", "tiny-exponent", "long-denominators"])
+    def test_unprintable_amounts_are_input_errors(self, ballots, tmp_path, capsys,
+                                                  text, line):
+        path = tmp_path / "huge.flow"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "flow", ballots, "--k", "1", "--cstar", "3",
+            "--verify", str(path),
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path}: line {line}: ")
 
     def test_repeated_edge_is_an_input_error(self, ballots, tmp_path, capsys):
         path = tmp_path / "repeated.flow"

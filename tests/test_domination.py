@@ -131,14 +131,13 @@ class TestVerifyVetoMatching:
         trace = plurality_veto(demo)
         first = trace.rounds[0]
         # paired voter 0 tops candidate 0, not the vetoed candidate 3
-        bad = VetoRound(first.index, first.voter, first.active, first.vetoed, 0)
-        tampered = VetoTrace((bad,) + trace.rounds[1:], trace.final_scores,
-                             trace.winner)
+        bad = VetoRound(first.voter, first.active, first.vetoed, 0)
+        tampered = VetoTrace((bad,) + trace.rounds[1:])
         assert not verify_veto_matching(demo, tampered)
 
     def test_wrong_round_count_rejected(self, demo):
         trace = plurality_veto(demo)
-        short = VetoTrace(trace.rounds[:2], trace.final_scores, trace.winner)
+        short = VetoTrace(trace.rounds[:2])
         with pytest.raises(ValueError):
             verify_veto_matching(demo, short)
 

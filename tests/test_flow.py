@@ -173,11 +173,10 @@ class TestConstructFlow:
 
 class TestDualFromFlow:
     def test_reference_flow_feasible_alpha_three(self, demo, reference_assignment):
-        solution, report = dual_from_flow(
+        report = dual_from_flow(
             demo, reference_assignment, verify_flow(demo, reference_assignment)
         )
         assert report.feasible
-        assert solution.alpha == F(3)
         assert report.objective == F(3)
         assert report.voter_totals == REFERENCE_FLOW_COSTS
 
@@ -190,7 +189,7 @@ class TestDualFromFlow:
             cstar = rng.randrange(e.m)
             g = construct_flow(e, trace, k, cstar)
             check = verify_flow(e, g)
-            solution, report = dual_from_flow(e, g, check)
+            report = dual_from_flow(e, g, check)
             assert report.feasible
             assert report.objective == check.cost <= 3
             assert report.voter_totals == check.per_voter_costs
@@ -198,19 +197,21 @@ class TestDualFromFlow:
     def test_all_zero_flow_on_cstar_point_mass(self, demo):
         w = WeightVector.point_mass(3, 4)
         g = FlowAssignment({}, w, 3)
-        solution, report = dual_from_flow(demo, g, verify_flow(demo, g))
+        report = dual_from_flow(demo, g, verify_flow(demo, g))
         assert report.feasible
         assert report.objective == F(1)
 
-    def test_multipliers_mirror_flow(self, demo, reference_assignment):
-        solution, _ = dual_from_flow(
-            demo, reference_assignment, verify_flow(demo, reference_assignment)
-        )
-        assert solution.consistency[(0, 0, 1)] == F(2, 3)
-        assert solution.triangle[(2, 1, 0, REFERENCE_FLOW_CSTAR)] == F(2, 3)
-        assert len(solution.consistency) + len(solution.triangle) == len(
-            REFERENCE_FLOW
-        )
+    def test_sideways_flow_in_absorbing_column_is_infeasible(self, demo, demo_w):
+        # a valid flow of cost 7/2 whose sideways edge inside column c* puts
+        # two multipliers' worth of load on its receiver
+        flows = dict(REFERENCE_FLOW)
+        flows[((0, 3), (1, 3))] = F(1, 2)
+        g = FlowAssignment(flows, demo_w, REFERENCE_FLOW_CSTAR)
+        check = verify_flow(demo, g)
+        assert check.cost == F(7, 2)
+        report = dual_from_flow(demo, g, check)
+        assert not report.feasible
+        assert report.violations == ("voter 1: dual load 4 exceeds alpha = 7/2",)
 
 
 class TestFlowSerialization:

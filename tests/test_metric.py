@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -53,6 +54,16 @@ class TestMetricValidation:
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             Metric(((1.0, -0.5),)).validate()
+
+    @pytest.mark.parametrize("text, first", [
+        ("nan,1.0\n1.0,1.0\n", "d(0,0) = nan"),
+        ("inf\n", "d(0,0) = inf"),
+        ("1.0,2.0\n-inf,nan\n", "d(1,0) = -inf"),
+    ])
+    def test_non_finite_entry_rejected(self, text, first):
+        # NaN is neither negative nor part of a triangle violation
+        with pytest.raises(ValueError, match=rf"non-finite distance {re.escape(first)}$"):
+            metric_from_csv(text).validate()
 
     def test_triangle_violation_caught(self):
         # d(0,0) = 10 but the relay through voter 1 and candidate 1 costs 3

@@ -1,6 +1,5 @@
 import random
 from collections import deque
-from dataclasses import replace
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -9,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from pluveto.core import Election, WeightVector, bottom_among, plurality_scores, top
 from pluveto.rules import (
+    FractionalStep,
+    FractionalTrace,
     VetoRound,
     VetoTrace,
     fractional_veto,
     format_trace,
-    lowest_index_policy,
     plurality_veto,
     randomized_veto,
-    scores_after,
     validate_trace,
 )
 
@@ -34,12 +33,12 @@ def reference_plurality_veto(e, order):
     for v in range(e.n):
         queues[top(e, v)].append(v)
     rounds = []
-    for i, v in enumerate(order, start=1):
+    for v in order:
         active = frozenset(c for c in range(e.m) if scores[c] > 0)
         c = bottom_among(e, v, active)
         scores[c] -= 1
-        rounds.append(VetoRound(i, v, active, c, queues[c].popleft()))
-    return VetoTrace(tuple(rounds), tuple(scores), rounds[-1].vetoed)
+        rounds.append(VetoRound(v, active, c, queues[c].popleft()))
+    return VetoTrace(tuple(rounds))
 
 
 def reference_randomized_veto(e, k, order):
@@ -50,14 +49,28 @@ def reference_randomized_veto(e, k, order):
     return WeightVector(tuple(F(s, e.n - k) for s in scores))
 
 
+def reference_fractional_veto(e, p, q):
+    """The fractional rule as it stood before it took a voter order: every
+    step rescans all weights for the lowest-index voter with weight left."""
+    voter_weight, cand_weight = list(p.entries), list(q.entries)
+    steps, winner = [], -1
+    while any(w > 0 for w in voter_weight):
+        v = next(v for v, w in enumerate(voter_weight) if w > 0)
+        c = bottom_among(e, v, [c for c in range(e.m) if cand_weight[c] > 0])
+        eps = min(voter_weight[v], cand_weight[c])
+        voter_weight[v] -= eps
+        cand_weight[c] -= eps
+        steps.append(FractionalStep(v, c, eps))
+        winner = c
+    return FractionalTrace(tuple(steps), winner)
+
+
 def reference_validate_trace(e, trace):
     if len(trace.rounds) != e.n:
         raise ValueError(f"trace has {len(trace.rounds)} rounds for {e.n} voters")
     scores = list(plurality_scores(e))
     seen_voters, seen_paired = set(), set()
     for i, r in enumerate(trace.rounds, start=1):
-        if r.index != i:
-            raise ValueError(f"round {i} is labeled {r.index}")
         active = frozenset(c for c in range(e.m) if scores[c] > 0)
         if r.active != active:
             raise ValueError(f"round {i}: recorded active set {sorted(r.active)} "
@@ -73,19 +86,18 @@ def reference_validate_trace(e, trace):
         seen_paired.add(r.paired_voter)
     if len(seen_voters) != e.n or len(seen_paired) != e.n:
         raise ValueError("trace pairing is not a bijection on voters")
+    # validate_trace omits this check, which cannot fire: n rounds that each
+    # veto a positive score use up plurality scores summing to n.  The
+    # agreement test below would see it fire.
     if any(scores):
         raise ValueError(f"scores nonzero after a full run: {tuple(scores)}")
-    if trace.winner != trace.rounds[-1].vetoed:
-        raise ValueError("recorded winner is not the last vetoed candidate")
-    if tuple(trace.final_scores) != tuple(scores):
-        raise ValueError("recorded final scores differ from replay")
 
 
 def reference_format_trace(trace):
     lines = []
-    for r in trace.rounds:
+    for i, r in enumerate(trace.rounds, start=1):
         active = " ".join(str(c) for c in sorted(r.active))
-        lines.append(f"{r.index}, {r.voter}, {{{active}}}, {r.vetoed}, {r.paired_voter}")
+        lines.append(f"{i}, {r.voter}, {{{active}}}, {r.vetoed}, {r.paired_voter}")
     return "\n".join(lines) + "\n"
 
 
@@ -131,13 +143,12 @@ class TestPluralityVeto:
         trace = plurality_veto(demo, (0, 1, 2, 3))
         assert [r.vetoed for r in trace.rounds] == [3, 1, 0, 0]
         assert trace.winner == 0
-        assert trace.final_scores == (0, 0, 0, 0)
 
     def test_demo_pairing_tops_vetoed(self, demo):
         trace = plurality_veto(demo)
         for r in trace.rounds:
             assert top(demo, r.paired_voter) == r.vetoed
-        assert sorted(trace.pairing) == list(range(demo.n))
+        assert sorted(r.paired_voter for r in trace.rounds) == list(range(demo.n))
 
     def test_unanimous_every_order(self):
         e = Election(tuple(((2, 0, 1),) * 4))
@@ -170,7 +181,6 @@ class TestPluralityVeto:
         e, order = case
         trace = plurality_veto(e, order)
         validate_trace(e, trace)  # replays active sets, bottoms, pairing
-        assert trace.final_scores == (0,) * e.m
         assert plurality_scores(e)[trace.winner] > 0
 
     @given(elections_with_order())
@@ -184,12 +194,8 @@ class TestPluralityVeto:
 
     def test_validate_trace_rejects_tampering(self, demo):
         trace = plurality_veto(demo)
-        bad = trace.rounds[0].__class__(
-            index=1, voter=0, active=trace.rounds[0].active,
-            vetoed=trace.rounds[0].vetoed, paired_voter=0,
-        )
-        tampered = trace.__class__((bad,) + trace.rounds[1:],
-                                   trace.final_scores, trace.winner)
+        bad = trace.rounds[0]._replace(voter=0, paired_voter=0)
+        tampered = VetoTrace((bad,) + trace.rounds[1:])
         with pytest.raises(ValueError):
             validate_trace(demo, tampered)
 
@@ -231,9 +237,12 @@ class TestRandomizedVeto:
             assert later <= earlier
 
     def test_matches_scores_after(self, demo):
+        # the residual score after k rounds: plurality less the first k vetoes
         trace = plurality_veto(demo)
         for k in range(demo.n):
-            residual = scores_after(demo, trace, k)
+            residual = list(plurality_scores(demo))
+            for r in trace.rounds[:k]:
+                residual[r.vetoed] -= 1
             w = randomized_veto(demo, k)
             assert all(w[c] == F(residual[c], demo.n - k) for c in range(demo.m))
 
@@ -274,6 +283,7 @@ class TestFractionalVeto:
             p = random_simplex(rng, n)
             q = random_simplex(rng, m)
             ftrace = fractional_veto(e, p, q)
+            assert ftrace == reference_fractional_veto(e, p, q)
             assert len(ftrace.steps) <= n + m
             for step in ftrace.steps:
                 assert step.amount > 0
@@ -291,22 +301,17 @@ class TestFractionalVeto:
         with pytest.raises(ValueError):
             fractional_veto(demo, WeightVector.uniform(4), WeightVector.uniform(3))
 
-    def test_policy_is_pluggable(self, demo):
+    def test_reversed_order(self, demo):
         p = WeightVector.uniform(demo.n)
         q = WeightVector.from_counts(plurality_scores(demo))
-
-        def highest_index(weights):
-            for v in range(len(weights) - 1, -1, -1):
-                if weights[v] > 0:
-                    return v
-            raise AssertionError
-
-        ftrace = fractional_veto(demo, p, q, voter_policy=highest_index)
+        ftrace = fractional_veto(demo, p, q, order=(3, 2, 1, 0))
         assert ftrace.steps[0].voter == 3
+        assert [s.voter for s in ftrace.steps] == sorted(
+            (s.voter for s in ftrace.steps), reverse=True
+        )
         assert sum(ftrace.matching.values()) == 1
-
-    def test_default_policy_picks_lowest(self):
-        assert lowest_index_policy([F(0), F(0), F(1, 2), F(1, 2)]) == 2
+        with pytest.raises(ValueError):
+            fractional_veto(demo, p, q, order=(0, 1, 2))
 
 
 class TestKernelMatchesReference:
@@ -337,24 +342,17 @@ class TestKernelMatchesReference:
             i = rng.randrange(e.n)
             r = trace.rounds[i]
             rounds = list(trace.rounds)
-            field = rng.choice(["index", "voter", "active", "vetoed", "paired_voter",
-                                "swap", "winner", "final_scores"])
+            field = rng.choice(["voter", "active", "vetoed", "paired_voter", "swap"])
             if field == "active":
-                rounds[i] = replace(r, active=r.active ^ {rng.randrange(e.m)})
+                rounds[i] = r._replace(active=r.active ^ {rng.randrange(e.m)})
             elif field == "swap":
                 j = rng.randrange(e.n)
-                rounds[i], rounds[j] = replace(rounds[j], index=i + 1), replace(r, index=j + 1)
+                rounds[i], rounds[j] = rounds[j], r
             elif field in ("voter", "paired_voter"):
-                rounds[i] = replace(r, **{field: rng.randrange(e.n)})
+                rounds[i] = r._replace(**{field: rng.randrange(e.n)})
             elif field == "vetoed":
-                rounds[i] = replace(r, vetoed=rng.randrange(e.m))
-            elif field == "index":
-                rounds[i] = replace(r, index=rng.randint(0, e.n + 1))
-            scores = trace.final_scores
-            if field == "final_scores":
-                scores = tuple(s + (c == 0) for c, s in enumerate(scores))
-            winner = rng.randrange(e.m) if field == "winner" else trace.winner
-            tampered = VetoTrace(tuple(rounds), scores, winner)
+                rounds[i] = r._replace(vetoed=rng.randrange(e.m))
+            tampered = VetoTrace(tuple(rounds))
             expected = outcome(reference_validate_trace, e, tampered)
             assert outcome(validate_trace, e, tampered) == expected
             rejected += expected is not None
