@@ -23,7 +23,6 @@ from .rules import (
     committee_select,
     fractional_veto,
     plurality_veto,
-    q_cost,
     randomized_veto,
 )
 
@@ -44,7 +43,6 @@ __all__ = [
     "committee_select",
     "fractional_veto",
     "plurality_veto",
-    "q_cost",
     "randomized_veto",
     "__version__",
 ]

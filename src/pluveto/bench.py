@@ -17,21 +17,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Election, top
-from .certify.domination import domination_graph, has_perfect_matching
+from .core import Election
 from .certify.metric import Metric
-from .rules import (
-    _q_social_costs,
-    bottom_among,
-    committee_select,
-    plurality_veto,
-    randomized_veto,
-)
+from .rules import _q_social_costs, committee_select, plurality_veto, randomized_veto
 
 __all__ = [
     "generate_euclidean",
     "peer_selection",
-    "adaptive_peer_veto",
     "potential_winners",
     "convex_hull_vertices",
     "ExperimentConfig",
@@ -42,7 +34,7 @@ __all__ = [
     "report_to_csv",
 ]
 
-EXACT_ORDER_CAP = 8  # 8! orders; beyond this only the superset mode is offered
+EXACT_ORDER_CAP = 8  # 8! orders; potential_winners refuses larger n
 
 
 def _sample_points(count: int, dim: int, distribution: str, rng: random.Random):
@@ -105,55 +97,14 @@ def peer_selection(
     return _rankings_from_distances(rows), Metric(rows), tuple(pts)
 
 
-def adaptive_peer_veto(e: Election, start: int) -> tuple[int, tuple[int, ...]]:
-    """Peer-selection veto with adaptively chosen voters.
-
-    The start agent's own vote is canceled up front (eliminating her, since
-    every agent tops herself), then each acting voter eliminates her bottom
-    choice among the survivors and that eliminated agent votes next.  The
-    last eliminated agent wins.  Returns (winner, elimination order).  This
-    is deliberately a separate procedure: canceling the start vote by fiat
-    puts it outside the plain veto rule.
-    """
-    if any(top(e, v) != v for v in range(e.n)):
-        raise ValueError("adaptive mode requires a peer-selection election "
-                         "(every agent ranks herself first)")
-    if not 0 <= start < e.n:
-        raise ValueError(f"start agent {start} out of range")
-    alive = set(range(e.n))
-    alive.discard(start)
-    eliminated = [start]
-    voter = start
-    while alive:
-        victim = bottom_among(e, voter, alive)
-        alive.discard(victim)
-        eliminated.append(victim)
-        voter = victim
-    return eliminated[-1], tuple(eliminated)
-
-
-def potential_winners(e: Election, mode: str = "exact") -> frozenset[int]:
-    """Candidates that can win the veto rule under some processing order.
-
-    ``exact`` enumerates every voter order (restricted to n <= 8 because of
-    the factorial blow-up); ``superset`` returns the candidates whose
-    domination graphs admit perfect matchings, a set that contains every
-    potential winner and works at any size.
-    """
-    if mode == "exact":
-        if e.n > EXACT_ORDER_CAP:
-            raise ValueError(
-                f"exact enumeration is capped at n = {EXACT_ORDER_CAP}; "
-                "use mode='superset'"
-            )
-        return frozenset(
-            plurality_veto(e, order).winner for order in permutations(range(e.n))
-        )
-    if mode == "superset":
-        return frozenset(
-            c for c in range(e.m) if has_perfect_matching(domination_graph(e, c))[0]
-        )
-    raise ValueError(f"mode must be 'exact' or 'superset', got {mode!r}")
+def potential_winners(e: Election) -> frozenset[int]:
+    """Candidates that win the veto rule under some voter order, found by
+    running every order (so n is capped at ``EXACT_ORDER_CAP``)."""
+    if e.n > EXACT_ORDER_CAP:
+        raise ValueError(f"exact enumeration is capped at n = {EXACT_ORDER_CAP}")
+    return frozenset(
+        plurality_veto(e, order).winner for order in permutations(range(e.n))
+    )
 
 
 def _orient(a, b, c) -> float:

@@ -31,7 +31,7 @@ from .flow import (
     verify_flow,
 )
 from .matching import RationalMaxFlow
-from .metric import Metric, metric_from_csv, metric_to_csv
+from .metric import Metric, metric_to_csv
 from .simplex import LPResult, LPStatus, linprog_max
 
 __all__ = [
@@ -58,7 +58,6 @@ __all__ = [
     "verify_flow",
     "RationalMaxFlow",
     "Metric",
-    "metric_from_csv",
     "metric_to_csv",
     "LPResult",
     "LPStatus",

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..core import Election, WeightVector
-from .metric import Metric, triangle_violations
+from .metric import DEFAULT_TOL, Metric, triangle_violations
 from .simplex import LPStatus, linprog_max
 
 __all__ = [
@@ -29,7 +29,7 @@ __all__ = [
     "distortion",
 ]
 
-DEFAULT_MAX_VARIABLES = 100
+MAX_VARIABLES = 100  # n * m; a 10 x 10 distortion takes a few seconds
 
 
 class LPInternalError(RuntimeError):
@@ -80,14 +80,7 @@ def _triangle_rows(n: int, m: int, quads: np.ndarray) -> np.ndarray:
     return A
 
 
-def worst_case_distortion(
-    e: Election,
-    w: WeightVector,
-    cstar: int,
-    *,
-    tol: float = 1e-9,
-    max_variables: int = DEFAULT_MAX_VARIABLES,
-) -> DistortionResult:
+def worst_case_distortion(e: Election, w: WeightVector, cstar: int) -> DistortionResult:
     """Largest expected cost of the distribution w over ballot-consistent
     pseudo-metrics in which candidate ``cstar`` has total cost exactly 1.
 
@@ -96,18 +89,18 @@ def worst_case_distortion(
     through ``cstar``.  Its witness is checked against all four-point rows;
     violated rows are added and the LP solved again until the witness is a
     metric.  Each LP relaxes the full one, so the final optimum is the full
-    LP's.  Instances are capped at ``max_variables`` = n * m variables
-    (default 100; a 10 x 10 :func:`distortion` takes a few seconds); raise
-    the cap explicitly for bigger ones.
+    LP's.  Every solve and every triangle check uses the tolerance
+    ``DEFAULT_TOL``, and instances over ``MAX_VARIABLES`` = n * m variables
+    are refused.
     """
     if len(w) != e.m:
         raise ValueError(f"w must have one entry per candidate ({e.m})")
     if not 0 <= cstar < e.m:
         raise ValueError(f"cstar out of range 0..{e.m - 1}")
     n, m = e.n, e.m
-    if n * m > max_variables:
+    if n * m > MAX_VARIABLES:
         raise DistortionInputError(
-            f"instance has {n * m} variables, over the cap of {max_variables}"
+            f"instance has {n * m} variables, over the cap of {MAX_VARIABLES}"
         )
     # in_lp[v, v2, c, c2]: the row for d(v,c) <= d(v,c2) + d(v2,c2) + d(v2,c)
     in_lp = np.zeros((n, n, m, m), dtype=bool)
@@ -120,7 +113,9 @@ def worst_case_distortion(
     objective = np.repeat([float(x) for x in w], n)
     pivots = lazy_rounds = 0
     while True:
-        result = linprog_max(objective, A_ub, np.zeros(len(A_ub)), A_eq, [1.0], tol=tol)
+        result = linprog_max(
+            objective, A_ub, np.zeros(len(A_ub)), A_eq, [1.0], tol=DEFAULT_TOL
+        )
         pivots += result.iterations
         if result.status is LPStatus.UNBOUNDED:
             # w puts weight on a candidate that can sit arbitrarily far from
@@ -137,7 +132,7 @@ def worst_case_distortion(
                 f"distortion LP did not converge: {result.status.value}"
             )
         d = result.x.reshape(m, n).T
-        violated = triangle_violations(d, tol)
+        violated = triangle_violations(d, DEFAULT_TOL)
         if not len(violated):
             break
         if in_lp[tuple(violated.T)].any():
@@ -152,20 +147,11 @@ def worst_case_distortion(
     )
 
 
-def distortion(
-    e: Election,
-    w: WeightVector,
-    *,
-    tol: float = 1e-9,
-    max_variables: int = DEFAULT_MAX_VARIABLES,
-) -> DistortionResult:
+def distortion(e: Election, w: WeightVector) -> DistortionResult:
     """Worst-case expected distortion of w: the maximum over all reference
     candidates of :func:`worst_case_distortion`, with the pivots and lazy
     rounds of every reference candidate summed."""
-    results = [
-        worst_case_distortion(e, w, cstar, tol=tol, max_variables=max_variables)
-        for cstar in range(e.m)
-    ]
+    results = [worst_case_distortion(e, w, cstar) for cstar in range(e.m)]
     best = max(results, key=lambda r: r.value)
     return replace(
         best,

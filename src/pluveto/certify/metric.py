@@ -13,12 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Metric", "metric_to_csv", "metric_from_csv", "triangle_violations",
-]
+from .. import core
+
+__all__ = ["Metric", "metric_to_csv", "triangle_violations"]
 
 DEFAULT_TOL = 1e-9
-_BLOCK_ENTRIES = 1 << 20  # tensor entries checked at once by triangle_violations
 
 
 def triangle_violations(d, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -28,7 +27,7 @@ def triangle_violations(d, tol: float = DEFAULT_TOL) -> np.ndarray:
     built a block of voters v at a time, which bounds its memory."""
     d = np.asarray(d, dtype=float)
     n, m = d.shape
-    step = max(1, _BLOCK_ENTRIES // (n * m * m))
+    step = max(1, core._BLOCK_ENTRIES // (n * m * m))
     found = []
     for lo in range(0, n, step):
         block = d[lo : lo + step]
@@ -91,24 +90,3 @@ class Metric:
 def metric_to_csv(metric: Metric) -> str:
     """n rows x m columns, one voter per row."""
     return "\n".join(",".join(repr(x) for x in row) for row in metric.d) + "\n"
-
-
-def metric_from_csv(text: str) -> Metric:
-    """Parse :func:`metric_to_csv` output.  A non-numeric entry or a row
-    whose width differs from the first row's raises ValueError naming its
-    line."""
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            row = tuple(float(tok) for tok in line.split(","))
-        except ValueError:
-            raise ValueError(f"line {lineno}: non-numeric entry in {line!r}") from None
-        if rows and len(row) != len(rows[0]):
-            raise ValueError(
-                f"line {lineno}: {len(row)} entries, the first row has {len(rows[0])}"
-            )
-        rows.append(row)
-    return Metric(tuple(rows))

@@ -193,12 +193,15 @@ def build_parser() -> _Parser:
 def _cmd_run(args) -> int:
     e = _load_election(args.ballots)
     if args.all_orders:
+        if args.order is not None or args.trace:
+            flag = "--order" if args.order is not None else "--trace"
+            raise CliError(f"--all-orders runs every voter order; {flag} does not apply")
         if e.n > EXACT_ORDER_CAP:
             raise CliError(
                 f"--all-orders enumerates every voter order and is capped at "
                 f"n = {EXACT_ORDER_CAP}; {args.ballots} has n = {e.n}"
             )
-        winners = potential_winners(e, "exact")
+        winners = potential_winners(e)
         print("potential winners:", " ".join(str(c) for c in sorted(winners)))
         return 0
     trace = plurality_veto(e, _parse_order(args.order, e.n))
@@ -218,6 +221,11 @@ def _cmd_randomize(args) -> int:
 
 def _cmd_certify(args) -> int:
     e = _load_election(args.ballots)
+    if (args.p is None) != (args.q is None):
+        raise CliError("--p and --q must be given together")
+    if args.p is not None:
+        p = _load_weights(args.p, e.n, "--p")
+        q = _load_weights(args.q, e.m, "--q")
     trace = plurality_veto(e, _parse_order(args.order, e.n))
     failures = 0
 
@@ -238,11 +246,7 @@ def _cmd_certify(args) -> int:
     ok, _ = has_perfect_matching(domination_graph(e, trace.winner))
     report("winner-domination-matching", ok)
 
-    if (args.p is None) != (args.q is None):
-        raise CliError("--p and --q must be given together")
     if args.p is not None:
-        p = _load_weights(args.p, e.n, "--p")
-        q = _load_weights(args.q, e.m, "--q")
         ftrace = fractional_veto(e, p, q)
         graph = pq_domination_graph(e, ftrace.winner, p, q)
         report(
@@ -264,6 +268,8 @@ def _distribution_from_flags(args, e) -> WeightVector:
     given = [args.winner is not None, args.weights is not None, args.k is not None]
     if sum(given) != 1:
         raise CliError("give exactly one of --winner, --weights, --k")
+    if args.order is not None and args.k is None:
+        raise CliError("--order applies only to the --k distribution")
     if args.winner is not None:
         if not 0 <= args.winner < e.m:
             raise CliError(f"--winner out of range 0..{e.m - 1}")

@@ -30,6 +30,10 @@ __all__ = [
     "parse_fraction",
 ]
 
+# The most entries (or bytes) one numpy block may hold: the triangle check,
+# the committee q-costs and the induced committee rankings work in blocks.
+_BLOCK_ENTRIES = 1 << 20
+
 
 class BallotParseError(ValueError):
     """Malformed ballot file.  ``line`` is the 1-based offending line number."""

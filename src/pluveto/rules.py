@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import core
 from .core import Election, WeightVector, bottom_among, plurality_scores, top
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "randomized_veto",
     "validate_trace",
     "format_trace",
-    "q_cost",
     "q_social_cost",
     "committee_select",
     "top_prefix_committees",
@@ -248,17 +248,6 @@ class Committee:
         return c in self.members
 
 
-def q_cost(v: int, committee: Committee | Iterable[int], d, q: int) -> float:
-    """Distance from voter v to the q-th closest committee member.
-
-    ``d`` is indexable as d[v][c].  q is 1-based; q = 1 is the closest member.
-    """
-    members = tuple(committee)
-    if not 1 <= q <= len(members):
-        raise ValueError(f"q must be in 1..{len(members)}, got {q}")
-    return sorted(d[v][c] for c in members)[q - 1]
-
-
 def q_social_cost(committee: Committee | Iterable[int], d, q: int, n: int) -> float:
     """Total q-cost over voters 0..n-1, added left to right."""
     rows = np.array([d[v] for v in range(n)])
@@ -274,13 +263,11 @@ def _q_social_costs(d: np.ndarray, members: np.ndarray, q: int) -> list[float]:
     """The q-social cost of each committee (a row of the index array
     ``members``) under the n x m distances ``d``, adding voters left to right
     as sum() does (np.sum's pairwise order changes the last bits).  Committees
-    go in blocks of at most metric._BLOCK_ENTRIES distances, or one at a time."""
-    from .certify import metric  # late import: the certify package imports rules
-
+    go in blocks of at most core._BLOCK_ENTRIES distances, or one at a time."""
     count, k = members.shape
     if not 1 <= q <= k:
         raise ValueError(f"q must be in 1..{k}, got {q}")
-    step = max(1, metric._BLOCK_ENTRIES // (len(d) * k))
+    step = max(1, core._BLOCK_ENTRIES // (len(d) * k))
     costs: list[float] = []
     for lo in range(0, count, step):
         costs += np.cumsum(_qth(d, members[lo : lo + step], q), axis=0)[-1].tolist()
@@ -301,15 +288,13 @@ def induced_committee_election(
     sequence) by her rank of the committee's q-th favorite member; ties go to
     the lexicographically smaller member tuple, then to the lower index.
     Voters are taken a block at a time, so no temporary exceeds
-    metric._BLOCK_ENTRIES bytes unless one voter's count * k positions do."""
-    from .certify import metric  # late import: the certify package imports rules
-
+    core._BLOCK_ENTRIES bytes unless one voter's count * k positions do."""
     members = np.array([c.members for c in committees])
     count, k = members.shape
     lex = np.lexsort(members.T[::-1])  # tie-break order, kept by the stable sort below
     dtype = np.min_scalar_type(e.m)
     positions = np.argsort(np.array(e.rankings, dtype=dtype), axis=1).astype(dtype)
-    step = max(1, metric._BLOCK_ENTRIES // (count * k * 8))
+    step = max(1, core._BLOCK_ENTRIES // (count * k * 8))
     rankings: list[tuple[int, ...]] = []
     for lo in range(0, e.n, step):
         qth = _qth(positions[lo : lo + step], members[lex], q)

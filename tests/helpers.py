@@ -1,6 +1,5 @@
 """Predicates and oracles that only the tests use."""
 
-from pluveto.bench import adaptive_peer_veto
 from pluveto.certify.metric import DEFAULT_TOL, Metric
 from pluveto.core import Election
 from pluveto.rules import Committee
@@ -31,9 +30,11 @@ def all_positive(metric: Metric) -> bool:
     return all(x > 0 for row in metric.d for x in row)
 
 
-def adaptive_winner_set(e: Election) -> frozenset[int]:
-    """Winners of the adaptive peer-selection veto over all start agents."""
-    return frozenset(adaptive_peer_veto(e, s)[0] for s in range(e.n))
+def csv_metric(text: str) -> Metric:
+    """Read back the rows that ``metric_to_csv`` wrote."""
+    return Metric(tuple(
+        tuple(float(tok) for tok in line.split(",")) for line in text.splitlines()
+    ))
 
 
 def social_cost(c: int, d) -> float:

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from pluveto.bench import (
     ExperimentConfig,
-    adaptive_peer_veto,
     convex_hull_vertices,
     generate_euclidean,
     parse_config,
@@ -15,10 +14,11 @@ from pluveto.bench import (
     report_to_csv,
     run_experiment,
 )
+from pluveto.certify.domination import domination_graph, has_perfect_matching
 from pluveto.core import Election, plurality_scores, top
 from pluveto.rules import plurality_veto
 
-from helpers import adaptive_winner_set, consistent_with, is_valid
+from helpers import consistent_with, is_valid
 
 
 class TestGenerateEuclidean:
@@ -86,39 +86,14 @@ class TestPeerSelection:
             peer_selection([])
 
 
-class TestAdaptiveVariant:
-    def test_start_agent_never_wins(self):
-        for seed in range(30):
-            e, _, _ = peer_selection(2 + seed % 5, seed=seed)
-            for start in range(e.n):
-                winner, order = adaptive_peer_veto(e, start)
-                assert winner != start
-                assert order[0] == start
-                assert sorted(order) == list(range(e.n))
-
-    def test_single_agent(self):
-        e, _, _ = peer_selection([0.0])
-        assert adaptive_peer_veto(e, 0) == (0, (0,))
-
-    def test_winner_set_at_least_two(self):
-        for seed in range(40):
-            e, _, _ = peer_selection(2 + seed % 5, seed=1000 + seed)
-            assert len(adaptive_winner_set(e)) >= 2
-
-    def test_requires_peer_election(self, demo):
-        with pytest.raises(ValueError):
-            adaptive_peer_veto(demo, 0)
-
-
 class TestPotentialWinners:
     def test_unanimous(self):
         e = Election(tuple(((1, 0, 2),) * 3))
-        assert potential_winners(e, "exact") == {1}
-        assert potential_winners(e, "superset") >= {1}
+        assert potential_winners(e) == {1}
 
     def test_strict_majority_unique_winner(self):
         e = Election(((1, 0, 2), (1, 2, 0), (1, 0, 2), (0, 2, 1), (2, 0, 1)))
-        assert potential_winners(e, "exact") == {1}
+        assert potential_winners(e) == {1}
 
     def test_exact_subset_of_superset(self):
         rng = random.Random(6)
@@ -127,17 +102,17 @@ class TestPotentialWinners:
             e = Election(
                 tuple(tuple(rng.sample(range(m), m)) for _ in range(n))
             )
-            assert potential_winners(e, "exact") <= potential_winners(e, "superset")
+            # every potential winner's domination graph has a perfect matching
+            superset = {
+                c for c in range(e.m)
+                if has_perfect_matching(domination_graph(e, c))[0]
+            }
+            assert potential_winners(e) <= superset
 
     def test_exact_capped(self):
         e = Election(tuple(((0, 1),) * 9))
         with pytest.raises(ValueError, match="capped"):
-            potential_winners(e, "exact")
-        assert potential_winners(e, "superset") == {0}
-
-    def test_unknown_mode(self, demo):
-        with pytest.raises(ValueError):
-            potential_winners(demo, "guess")
+            potential_winners(e)
 
 
 class TestConvexHull:

@@ -4,11 +4,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pluveto.cli import main
-from pluveto.certify.metric import metric_from_csv
 from pluveto.core import parse_election
 
 from conftest import REFERENCE_FLOW
-from helpers import consistent_with, is_valid
+from helpers import consistent_with, csv_metric, is_valid
 
 DEMO_TEXT = "4\n4\n0,1,2,3\n0,2,3,1\n1,2,3,0\n3,1,0,2\n"
 
@@ -68,6 +67,13 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", str(path), "--all-orders")
         assert code == 1 and "capped at n = 8" in err and "n = 9" in err
 
+    @pytest.mark.parametrize("flag", [["--order", "0,1,2,3"], ["--trace"]],
+                             ids=["order", "trace"])
+    def test_all_orders_rejects_flags_it_ignores(self, ballots, capsys, flag):
+        code, out, err = run_cli(capsys, "run", ballots, "--all-orders", *flag)
+        assert code == 1 and out == ""
+        assert err == f"error: --all-orders runs every voter order; {flag[0]} does not apply\n"
+
 
 class TestRandomize:
     def test_exact_fractions(self, ballots, capsys):
@@ -101,18 +107,20 @@ class TestCertify:
     def test_p_without_q_rejected(self, ballots, tmp_path, capsys):
         p = tmp_path / "p.weights"
         p.write_text("1\n")
-        code, _, err = run_cli(capsys, "certify", ballots, "--p", str(p))
+        code, out, err = run_cli(capsys, "certify", ballots, "--p", str(p))
         assert code == 1 and "together" in err
+        assert out == ""
 
     def test_bad_weights_file(self, ballots, tmp_path, capsys):
         p = tmp_path / "p.weights"
         p.write_text("1/4\n1/4\n")
         q = tmp_path / "q.weights"
         q.write_text("1\n0\n0\n0\n")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "certify", ballots, "--p", str(p), "--q", str(q)
         )
         assert code == 1 and "entries" in err
+        assert out == ""
 
     @pytest.mark.parametrize("weight", ["1e10000000", "1E-10000000"])
     def test_huge_exponent_is_a_bad_weight(self, ballots, tmp_path, capsys, weight):
@@ -154,7 +162,7 @@ class TestDistortion:
             capsys, "distortion", ballots, "--winner", "0", "--out", str(out_path)
         )
         assert code == 0
-        witness = metric_from_csv(out_path.read_text())
+        witness = csv_metric(out_path.read_text())
         assert is_valid(witness)
         assert consistent_with(witness, parse_election(DEMO_TEXT))
 
@@ -165,6 +173,16 @@ class TestDistortion:
             capsys, "distortion", ballots, "--winner", "0", "--k", "1"
         )
         assert code == 1
+
+    def test_order_without_k_rejected(self, ballots, tmp_path, capsys):
+        weights = tmp_path / "w.weights"
+        weights.write_text("1/4\n" * 4)
+        for source in (["--winner", "0"], ["--weights", str(weights)]):
+            code, out, err = run_cli(
+                capsys, "distortion", ballots, *source, "--order", "3,2,1,0"
+            )
+            assert code == 1 and out == ""
+            assert err == "error: --order applies only to the --k distribution\n"
 
     def test_k_distribution(self, ballots, capsys):
         code, out, _ = run_cli(capsys, "distortion", ballots, "--k", "1")

@@ -21,7 +21,6 @@ from pluveto.rules import (
     committee_select,
     induced_committee_election,
     plurality_veto,
-    q_cost,
     q_social_cost,
     randomized_veto,
     top_prefix_committees,
@@ -40,35 +39,41 @@ def exhaustive_committee_winner(e, k, q, order=None):
 
 
 class TestQCost:
+    # one voter: the q-social cost is that voter's q-cost
     def test_second_closest(self):
         d = [[1.0, 3.0]]
-        assert q_cost(0, Committee((0, 1)), d, 2) == 3.0
+        assert q_social_cost(Committee((0, 1)), d, 2, 1) == 3.0
 
     def test_q_one_is_min(self):
         d = [[5.0, 2.0, 7.0]]
         committee = Committee((0, 1, 2))
-        assert q_cost(0, committee, d, 1) == 2.0
-        assert q_cost(0, committee, d, 1) == min(d[0])
+        assert q_social_cost(committee, d, 1, 1) == 2.0
+        assert q_social_cost(committee, d, 1, 1) == min(d[0])
 
     def test_order_statistics(self):
         d = [[5.0, 2.0, 7.0]]
-        assert q_cost(0, Committee((0, 1, 2)), d, 2) == 5.0
+        assert q_social_cost(Committee((0, 1, 2)), d, 2, 1) == 5.0
 
     def test_q_out_of_range(self):
         d = [[1.0, 2.0]]
         with pytest.raises(ValueError):
-            q_cost(0, Committee((0, 1)), d, 3)
+            q_social_cost(Committee((0, 1)), d, 3, 1)
 
     def test_social_cost_sums_over_voters(self):
         d = [[1.0, 3.0], [2.0, 0.5]]
         assert q_social_cost(Committee((0, 1)), d, 2, 2) == 3.0 + 2.0
 
 
+def loop_q_cost(v, committee, d, q):
+    """Distance from voter v to the q-th closest committee member."""
+    return sorted(d[v][c] for c in tuple(committee))[q - 1]
+
+
 def committee_distance(d, first, second, q, n):
     """Distance between equal-size committees induced from voter q-costs:
     the cheapest voter relay min_v (q-cost_v(first) + q-cost_v(second))."""
     return min(
-        q_cost(v, first, d, q) + q_cost(v, second, d, q) for v in range(n)
+        loop_q_cost(v, first, d, q) + loop_q_cost(v, second, d, q) for v in range(n)
     )
 
 
@@ -183,20 +188,16 @@ class TestQCostMetricProperty:
                 for second in committees:
                     for v in range(n):
                         for v2 in range(n):
-                            lhs = q_cost(v, first, d, q)
+                            lhs = loop_q_cost(v, first, d, q)
                             rhs = (
-                                q_cost(v, second, d, q)
-                                + q_cost(v2, second, d, q)
-                                + q_cost(v2, first, d, q)
+                                loop_q_cost(v, second, d, q)
+                                + loop_q_cost(v2, second, d, q)
+                                + loop_q_cost(v2, first, d, q)
                             )
                             assert lhs <= rhs + 1e-9
 
 
 # --- the numpy q-costs and induced rankings against the loops they replace ---
-
-
-def loop_q_cost(v, committee, d, q):
-    return sorted(d[v][c] for c in tuple(committee))[q - 1]
 
 
 def loop_q_social_cost(committee, d, q, n):
@@ -323,7 +324,7 @@ class TestAgainstLoops:
     def test_small_blocks(self, monkeypatch):
         # 7 entries a block: every call runs several committee or voter
         # blocks, and some single rows exceed the block
-        monkeypatch.setattr(importlib.import_module("pluveto.certify.metric"),
+        monkeypatch.setattr(importlib.import_module("pluveto.core"),
                             "_BLOCK_ENTRIES", 7)
         assert_matches_loops(seeded_instances(60, seed=43))
         config = parse_config(TestReportBytes.CONFIGS[0])
@@ -338,7 +339,7 @@ class TestAgainstLoops:
             return partition(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "partition", recording)
-        monkeypatch.setattr(importlib.import_module("pluveto.certify.metric"),
+        monkeypatch.setattr(importlib.import_module("pluveto.core"),
                             "_BLOCK_ENTRIES", 100)
         e, d = generate_euclidean(10, 6, 2, "uniform", 8)
         every = np.array(list(combinations(range(6), 3)))
@@ -349,7 +350,7 @@ class TestAgainstLoops:
         # widest temporary, the sort's indices, has 8 bytes per committee):
         # 2000 bytes hold 4 voters
         sizes.clear()
-        monkeypatch.setattr(importlib.import_module("pluveto.certify.metric"),
+        monkeypatch.setattr(importlib.import_module("pluveto.core"),
                             "_BLOCK_ENTRIES", 2000)
         induced = induced_committee_election(e, [Committee(c) for c in every.tolist()], 2)
         assert sizes == [240, 240, 120]

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from pluveto.core import Election, WeightVector
 from pluveto.certify.distortion import (
@@ -12,7 +13,6 @@ from pluveto.certify.distortion import (
     distortion,
     worst_case_distortion,
 )
-from pluveto.certify.simplex import LPStatus, linprog_max
 from pluveto.bench import generate_euclidean
 from pluveto.rules import plurality_veto, randomized_veto
 
@@ -70,11 +70,8 @@ class TestWorstCaseDistortion:
 
     def test_variable_cap_enforced(self):
         e = Election(tuple(tuple(range(6)) for _ in range(17)))
-        with pytest.raises(DistortionInputError, match="cap of 100"):
+        with pytest.raises(DistortionInputError, match="102 variables, over the cap of 100"):
             worst_case_distortion(e, WeightVector.point_mass(0, 6), 0)
-        worst_case_distortion(
-            e, WeightVector.point_mass(0, 6), 0, max_variables=102
-        )
 
     def test_bad_inputs(self, demo):
         with pytest.raises(ValueError):
@@ -122,8 +119,8 @@ class TestDistortionWrapper:
 
 def full_lp_value(e, w, cstar):
     """The distortion LP with every four-point triangle row and every
-    adjacent ranking row, built row by row: the reference for the LP that
-    adds triangle rows lazily."""
+    adjacent ranking row, built row by row and solved by scipy's HiGHS: the
+    reference for the LP that adds triangle rows lazily."""
     n, m = e.n, e.m
     rows = []
     for c in range(m):
@@ -146,13 +143,19 @@ def full_lp_value(e, w, cstar):
             row[better * n + v] += 1.0
             row[worse * n + v] -= 1.0
             rows.append(row)
-    A_ub = np.array(rows) if rows else np.zeros((0, n * m))
     A_eq = np.zeros((1, n * m))
     A_eq[0, cstar * n : (cstar + 1) * n] = 1.0
     objective = np.repeat([float(x) for x in w], n)
-    result = linprog_max(objective, A_ub, np.zeros(len(A_ub)), A_eq, [1.0])
-    assert result.status is LPStatus.OPTIMAL
-    return result.value
+    result = linprog(
+        -objective,
+        A_ub=np.array(rows) if rows else None,
+        b_ub=np.zeros(len(rows)) if rows else None,
+        A_eq=A_eq,
+        b_eq=[1.0],
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    return -result.fun
 
 
 class TestLazyTriangleRows:
@@ -172,25 +175,32 @@ class TestLazyTriangleRows:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-11])
     def test_lazy_check_uses_the_solve_tolerance(self, tol, monkeypatch):
+        # one tolerance, DEFAULT_TOL, reaches both the solve and the check
         module = importlib.import_module("pluveto.certify.distortion")
-        check = module.triangle_violations
+        check, solve = module.triangle_violations, module.linprog_max
         seen = set()
 
         def recording_check(d, tol):
-            seen.add(tol)
+            seen.add(("check", tol))
             return check(d, tol)
 
+        def recording_solve(*args, tol):
+            seen.add(("solve", tol))
+            return solve(*args, tol=tol)
+
+        monkeypatch.setattr(module, "DEFAULT_TOL", tol)
         monkeypatch.setattr(module, "triangle_violations", recording_check)
+        monkeypatch.setattr(module, "linprog_max", recording_solve)
         rng = random.Random(3_002)
         for _ in range(30):
             e = random_election(rng, rng.randint(2, 6), rng.randint(2, 5))
             w = randomized_veto(e, rng.randint(0, e.n - 1))
-            r = distortion(e, w, tol=tol)
+            r = distortion(e, w)
             expected = max(full_lp_value(e, w, c) for c in range(e.m))
             assert abs(r.value - expected) <= 1e-9
             r.witness.validate(tol)
             assert consistent_with(r.witness, e)
-        assert seen == {tol}
+        assert seen == {("check", tol), ("solve", tol)}
 
     def test_first_solve_violation_is_resolved(self):
         # the LP through c* = 0 omits d(v,0) <= d(v,1) + d(v2,1) + d(v2,0);
