@@ -30,7 +30,6 @@ from .flow import (
     parse_flow,
     verify_flow,
 )
-from .matching import RationalMaxFlow
 from .metric import Metric, metric_to_csv
 from .simplex import LPResult, LPStatus, linprog_max
 
@@ -56,7 +55,6 @@ __all__ = [
     "format_flow",
     "parse_flow",
     "verify_flow",
-    "RationalMaxFlow",
     "Metric",
     "metric_to_csv",
     "LPResult",

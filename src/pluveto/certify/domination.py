@@ -3,28 +3,29 @@
 For a candidate c, the weighted domination graph links voters to candidates
 under node weights (p, q): voter v is linked to candidate c' when v ranks c
 weakly above c'.  Its certificate is a fractional perfect matching that
-saturates every node weight exactly, decided by one exact max-flow on
-n + m + 2 nodes and at most n*m + n + m edges.
+saturates every node weight exactly, decided by one exact integer max-flow
+from the voters to the candidates along the graph's at most n*m edges.
 
 The integral domination graph of the paper links voter v to voter v' when v
 ranks c weakly above v''s top choice.  Voters who share a top choice are
 twins on its right side, so grouping them by that choice turns it into the
 weighted graph with p uniform and q the plurality shares.  A perfect
 matching of the voter graph exists iff that grouped graph has a fractional
-perfect matching, and the max-flow finds an integral one: every capacity is
-a multiple of 1/n, so every augmenting path carries a multiple of 1/n.  A
+perfect matching, and the max-flow finds an integral one: every weight is a
+multiple of 1/n, so every augmenting path carries a multiple of 1/n.  A
 perfect matching certifies that c's total voter distance is within a factor
 3 of optimal under every metric consistent with the ballots.
 """
 
 from __future__ import annotations
 
+import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..core import Election, WeightVector, plurality_scores, top
 from ..rules import VetoTrace
-from .matching import RationalMaxFlow
 
 __all__ = [
     "PQDominationGraph",
@@ -93,28 +94,65 @@ def fractional_perfect_matching(
 ) -> dict[tuple[int, int], Fraction] | None:
     """A fractional perfect matching of the weighted domination graph, or None.
 
-    Feasibility is decided by exact max-flow: source -> voter v with capacity
-    p_v, candidate c -> sink with capacity q_c, graph edges uncapped.  A
-    matching saturating every node exists iff the max-flow value is exactly 1.
+    Edmonds-Karp with an implicit source and sink, on integers: amounts are
+    units of 1/L, L the lcm of every weight's denominator, so voter v supplies
+    p_v * L units, candidate c absorbs q_c * L, and graph edges are uncapped.
+    Each round is one breadth-first search from every voter with supply left,
+    forward along graph edges and back along edges carrying flow, up to the
+    first candidate with room left; the path found is then augmented.  As p
+    and q both sum to 1, a matching exists iff every supply runs out.
     """
-    net = RationalMaxFlow()
-    source, sink = ("s",), ("t",)
     n, m = len(g.p), len(g.q)
-    one = Fraction(1)
-    for v in range(n):
-        net.add_edge(source, ("v", v), g.p[v])
-    for c in range(m):
-        net.add_edge(("c", c), sink, g.q[c])
+    scale = math.lcm(*(x.denominator for x in (*g.p, *g.q)))
+    supply = [x.numerator * (scale // x.denominator) for x in g.p]
+    room = [x.numerator * (scale // x.denominator) for x in g.q]
+    reach: list[list[int]] = [[] for _ in range(n)]
     for v, c in sorted(g.edges):
-        net.add_edge(("v", v), ("c", c), one)
-    if net.max_flow(source, sink) != 1:
-        return None
-    out: dict[tuple[int, int], Fraction] = {}
-    for v, c in sorted(g.edges):
-        amount = net.flow_on(("v", v), ("c", c))
-        if amount > 0:
-            out[(v, c)] = amount
-    return out
+        reach[v].append(c)
+    sent: list[dict[int, int]] = [{} for _ in range(m)]  # sent[c][v]: units v -> c
+    pending = [v for v in range(n) if supply[v]]
+    while pending:
+        came_from: dict[int, int | None] = dict.fromkeys(pending)  # voter -> candidate
+        reached_by: dict[int, int] = {}  # candidate -> voter
+        queue = deque(pending)
+        end = None
+        while queue and end is None:
+            v = queue.popleft()
+            fresh = [c for c in reach[v] if c not in reached_by]
+            for c in fresh:
+                reached_by[c] = v
+            end = next((c for c in fresh if room[c]), None)
+            if end is None:
+                for c in fresh:
+                    for v2 in sent[c]:
+                        if v2 not in came_from:
+                            came_from[v2] = c
+                            queue.append(v2)
+        if end is None:
+            return None
+        path = []  # (voter, candidate it sends to, candidate it takes back from)
+        c = end
+        while c is not None:
+            v = reached_by[c]
+            path.append((v, c, came_from[v]))
+            c = came_from[v]
+        root = path[-1][0]
+        amount = min(
+            supply[root], room[end], *(sent[b][v] for v, _, b in path if b is not None)
+        )
+        supply[root] -= amount
+        room[end] -= amount
+        for v, c, b in path:
+            sent[c][v] = sent[c].get(v, 0) + amount
+            if b is not None:
+                sent[b][v] -= amount
+                if not sent[b][v]:
+                    del sent[b][v]
+        pending = [v for v in pending if supply[v]]
+    matching = {
+        (v, c): Fraction(units, scale) for c in range(m) for v, units in sent[c].items()
+    }
+    return dict(sorted(matching.items()))
 
 
 def is_fractional_perfect_matching(

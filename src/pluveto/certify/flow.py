@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..core import Election, WeightVector, parse_fraction
-from ..rules import VetoTrace, _veto_rounds, validate_trace
+from ..rules import VetoTrace, validate_trace
 
 __all__ = [
     "Node",
@@ -140,8 +140,14 @@ def construct_flow(
     except ValueError as exc:
         raise FlowError(f"trace inconsistent with election: {exc}") from exc
     denom = n - k
-    _, residual = _veto_rounds(e, [r.voter for r in trace.rounds], k)
-    w = WeightVector(tuple(Fraction(s, denom) for s in residual))
+    # the last n - k rounds veto each candidate once per unit of its residual
+    # score after the first k
+    receivers: dict[int, list[int]] = {}
+    for r in trace.rounds[k:]:
+        receivers.setdefault(r.vetoed, []).append(r.paired_voter)
+    w = WeightVector(tuple(
+        Fraction(len(receivers.get(c, ())), denom) for c in range(e.m)
+    ))
     flows: dict[Edge, Fraction] = {}
 
     def add(tail: Node, head: Node, amount: Fraction) -> None:
@@ -160,9 +166,6 @@ def construct_flow(
         add((v, vetoed), (receiver, vetoed), one)
         add((receiver, vetoed), (receiver, cstar), one)
 
-    receivers: dict[int, list[int]] = {}
-    for r in trace.rounds[k:]:
-        receivers.setdefault(r.vetoed, []).append(r.paired_voter)
     share = Fraction(1, denom)
     rest = [r.voter for r in trace.rounds[k:]]
     for c in sorted(w.support):

@@ -226,7 +226,8 @@ def _cmd_certify(args) -> int:
     if args.p is not None:
         p = _load_weights(args.p, e.n, "--p")
         q = _load_weights(args.q, e.m, "--q")
-    trace = plurality_veto(e, _parse_order(args.order, e.n))
+    order = _parse_order(args.order, e.n)
+    trace = plurality_veto(e, order)
     failures = 0
 
     def report(name: str, ok: bool, detail: str = "") -> None:
@@ -247,7 +248,7 @@ def _cmd_certify(args) -> int:
     report("winner-domination-matching", ok)
 
     if args.p is not None:
-        ftrace = fractional_veto(e, p, q)
+        ftrace = fractional_veto(e, p, q, order)
         graph = pq_domination_graph(e, ftrace.winner, p, q)
         report(
             "fractional-steps", len(ftrace.steps) <= e.n + e.m,

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pluveto.cli import main
 from pluveto.core import parse_election
+from pluveto.rules import fractional_veto
 
 from conftest import REFERENCE_FLOW
 from helpers import consistent_with, csv_metric, is_valid
@@ -103,6 +104,26 @@ class TestCertify:
         )
         assert code == 0
         assert out.count("PASS") == 6
+
+    def test_fractional_checks_follow_order(self, ballots, tmp_path, capsys, monkeypatch):
+        # on these weights order 3,2,1,0 makes the fractional winner 3, index
+        # order 0; both runs pass, so only the order passed in tells them apart
+        orders = []
+
+        def recording(e, p, q, order=None):
+            orders.append(order)
+            return fractional_veto(e, p, q, order)
+
+        monkeypatch.setattr("pluveto.cli.fractional_veto", recording)
+        p = tmp_path / "p.weights"
+        p.write_text("1/4\n1/4\n1/4\n1/4\n")
+        q = tmp_path / "q.weights"
+        q.write_text("1/2\n1/4\n0\n1/4\n")
+        code, out, _ = run_cli(
+            capsys, "certify", ballots, "--order", "3,2,1,0", "--p", str(p), "--q", str(q)
+        )
+        assert code == 0 and out.count("PASS") == 6
+        assert orders == [(3, 2, 1, 0)]
 
     def test_p_without_q_rejected(self, ballots, tmp_path, capsys):
         p = tmp_path / "p.weights"

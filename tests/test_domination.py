@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from pluveto.core import Election, WeightVector, plurality_scores, top
@@ -191,6 +193,53 @@ class TestFractionalMatching:
             assert (matching is not None) == hall_ok
             if matching is not None:
                 assert is_fractional_perfect_matching(g, matching)
+
+    def test_reroutes_through_a_matched_edge(self):
+        # voter 0 first fills candidate 0, voter 1's only neighbor; the
+        # second search must take that flow back and send it to candidate 1
+        e = Election(((0, 1), (1, 0)))
+        half = WeightVector.uniform(2)
+        g = pq_domination_graph(e, 0, half, half)
+        assert fractional_perfect_matching(g) == {(0, 1): F(1, 2), (1, 0): F(1, 2)}
+
+    def test_large_coprime_denominators_stay_exact(self):
+        primes = [1_000_003, 998_244_353, 1_000_000_007, 2_147_483_647]
+        shares = [F(1, prime) for prime in primes]
+        p = WeightVector((*shares, 1 - sum(shares)))
+        assert p[4].denominator > 10**30
+        q = WeightVector.uniform(3)
+        e = Election(((0, 1, 2), (1, 0, 2), (2, 1, 0), (1, 2, 0), (0, 2, 1)))
+        g = pq_domination_graph(e, fractional_veto(e, p, q).winner, p, q)
+        matching = fractional_perfect_matching(g)
+        assert matching is not None
+        assert is_fractional_perfect_matching(g, matching)
+
+    def test_feasibility_agrees_with_networkx_max_flow(self):
+        # the same question as a max-flow in integer units of 1/L, solved
+        # by networkx; missing capacities are unbounded there
+        rng = random.Random(29)
+        both = [0, 0]
+        for i in range(60):
+            n, m = rng.randint(20, 60), rng.randint(3, 8)
+            e = random_election(rng, n, m)
+            p = random_simplex(rng, n, 60)
+            q = random_simplex(rng, m, 60)
+            c = fractional_veto(e, p, q).winner if i % 3 == 0 else rng.randrange(m)
+            g = pq_domination_graph(e, c, p, q)
+            scale = math.lcm(*(x.denominator for x in (*p, *q)))
+            net = nx.DiGraph()
+            for v in range(n):
+                net.add_edge("s", ("v", v), capacity=int(p[v] * scale))
+            for c2 in range(m):
+                net.add_edge(("c", c2), "t", capacity=int(q[c2] * scale))
+            net.add_edges_from((("v", v), ("c", c2)) for v, c2 in g.edges)
+            feasible = nx.maximum_flow_value(net, "s", "t") == scale
+            matching = fractional_perfect_matching(g)
+            assert (matching is not None) == feasible
+            if feasible:
+                assert is_fractional_perfect_matching(g, matching)
+            both[feasible] += 1
+        assert min(both) >= 20
 
     def test_balance_checker_rejects_off_edge_weight(self, demo):
         p = WeightVector.uniform(4)
