@@ -10,7 +10,6 @@ from .core import (
     BallotParseError,
     Election,
     WeightVector,
-    bottom_among,
     parse_election,
     plurality_scores,
     serialize_election,
@@ -32,7 +31,6 @@ __all__ = [
     "BallotParseError",
     "Election",
     "WeightVector",
-    "bottom_among",
     "parse_election",
     "plurality_scores",
     "serialize_election",

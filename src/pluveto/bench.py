@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Election
+from .core import Election, data_lines
 from .certify.metric import Metric
 from .rules import _q_social_costs, committee_select, plurality_veto, randomized_veto
 
@@ -158,6 +158,8 @@ class ExperimentConfig:
         for rule in self.rules:
             if rule not in _KNOWN_RULES and not _RULE_RE.match(rule):
                 raise ValueError(f"unknown rule name {rule!r}")
+            if self.rules.count(rule) > 1:
+                raise ValueError(f"rule {rule!r} is listed more than once")
         if min(self.instances, self.voters, self.candidates, self.dim) < 1:
             raise ValueError("instances, voters, candidates and dim must be positive")
         if self.distribution not in ("uniform", "gaussian"):
@@ -224,10 +226,7 @@ def parse_config(text: str) -> ExperimentConfig:
     twice is rejected, naming both lines."""
     values = {}
     first_line: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")

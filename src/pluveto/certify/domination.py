@@ -42,7 +42,6 @@ __all__ = [
 class PQDominationGraph:
     """Weighted bipartite graph: voters (weights p) x candidates (weights q)."""
 
-    candidate: int
     p: WeightVector
     q: WeightVector
     edges: frozenset[tuple[int, int]]
@@ -68,7 +67,7 @@ def pq_domination_graph(
         for c2 in range(e.m)
         if e.weakly_prefers(v, c, c2)
     )
-    return PQDominationGraph(c, p, q, edges)
+    return PQDominationGraph(p, q, edges)
 
 
 def has_perfect_matching(

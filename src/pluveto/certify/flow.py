@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..core import Election, WeightVector, parse_fraction
+from ..core import Election, WeightVector, data_lines, parse_fraction
 from ..rules import VetoTrace, validate_trace
 
 __all__ = [
@@ -76,8 +76,8 @@ def verify_flow(e: Election, g: FlowAssignment) -> FlowCheck:
         raise FlowError(f"w has {len(w)} entries for {m} candidates")
     if not 0 <= cstar < m:
         raise FlowError(f"cstar {cstar} out of range 0..{m - 1}")
-    inflow: dict[Node, Fraction] = {}
-    outflow: dict[Node, Fraction] = {}
+    # balance[v][c]: injection + inflow - outflow at node (v, c)
+    balance = [list(w.entries) for _ in range(n)]
     sideways_row = [Fraction(0)] * n
     for (tail, head), amount in g.flows.items():
         if amount < 0:
@@ -87,17 +87,15 @@ def verify_flow(e: Election, g: FlowAssignment) -> FlowCheck:
         sideways = tail[1] == head[1] and tail[0] != head[0]
         if not (sideways or (tail[0] == head[0] and e.prefers(tail[0], tail[1], head[1]))):
             raise FlowError(f"flow on nonexistent edge {tail}->{head}")
-        outflow[tail] = outflow.get(tail, Fraction(0)) + amount
-        inflow[head] = inflow.get(head, Fraction(0)) + amount
+        balance[tail[0]][tail[1]] -= amount
+        balance[head[0]][head[1]] += amount
         if sideways and tail[1] != cstar:
             sideways_row[tail[0]] += amount
             sideways_row[head[0]] += amount
-    zero = Fraction(0)
     costs = []
     for v in range(n):
-        for c in range(m):
+        for c, net_in in enumerate(balance[v]):
             node = (v, c)
-            net_in = w[c] + inflow.get(node, zero) - outflow.get(node, zero)
             if c == cstar:
                 if net_in < 0:
                     raise FlowError(
@@ -278,10 +276,7 @@ def parse_flow(text: str) -> dict[Edge, Fraction]:
     first_line: dict[Edge, int] = {}
     limit = sys.get_int_max_str_digits()
     lcm, total = 1, Fraction(0)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         match = _EDGE_RE.match(line.replace(" -> ", "->"))
         if not match:
             raise FlowError(f"line {lineno}: cannot parse flow edge {line!r}")

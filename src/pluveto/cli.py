@@ -45,7 +45,7 @@ from .certify.flow import (
     verify_flow,
 )
 from .certify.metric import metric_to_csv
-from .core import BallotParseError, WeightVector, parse_election, parse_fraction
+from .core import BallotParseError, WeightVector, data_lines, parse_election, parse_fraction
 from .rules import (
     committee_select,
     format_trace,
@@ -111,10 +111,7 @@ def _parse_order(text: str | None, n: int):
 
 def _load_weights(path: str, size: int, label: str) -> WeightVector:
     entries = []
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(_read(path)):
         try:
             entries.append(parse_fraction(line))
         except (ValueError, ZeroDivisionError):

@@ -12,7 +12,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 __all__ = [
     "Election",
@@ -25,9 +25,9 @@ __all__ = [
     "parse_election",
     "serialize_election",
     "top",
-    "bottom_among",
     "plurality_scores",
     "parse_fraction",
+    "data_lines",
 ]
 
 # The most entries (or bytes) one numpy block may hold: the triangle check,
@@ -118,22 +118,6 @@ def top(e: Election, v: int) -> int:
     return e.rankings[v][0]
 
 
-def bottom_among(e: Election, v: int, candidates: Iterable[int]) -> int:
-    """The candidate in ``candidates`` that voter v ranks last.
-
-    ``candidates`` must be a nonempty subset of the candidate set.
-    """
-    pos = e.positions[v]
-    worst = -1
-    worst_pos = -1
-    for c in candidates:
-        if pos[c] > worst_pos:
-            worst, worst_pos = c, pos[c]
-    if worst < 0:
-        raise ValueError("bottom_among over an empty candidate set")
-    return worst
-
-
 def plurality_scores(e: Election) -> tuple[int, ...]:
     """Number of first-place votes per candidate; entries sum to n."""
     scores = [0] * e.m
@@ -199,6 +183,15 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for each line of ``text`` that is
+    neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_election(text: str) -> Election:
     """Parse a ballot file.
 
@@ -223,10 +216,7 @@ def parse_election(text: str) -> Election:
 def _parse_lines(text: str) -> Election:
     header: list[int] = []
     ballots: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         if len(header) < 2:
             try:
                 value = int(line)
@@ -247,7 +237,7 @@ def _parse_lines(text: str) -> Election:
         raise CountMismatchError("missing candidate/voter count header", 1)
     if len(ballots) != n:
         raise CountMismatchError(
-            f"expected {n} ballots but found {len(ballots)}", lineno if text else 1
+            f"expected {n} ballots but found {len(ballots)}", len(text.splitlines())
         )
     return Election(tuple(ballots))
 

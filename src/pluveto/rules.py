@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import core
-from .core import Election, WeightVector, bottom_among, plurality_scores, top
+from .core import Election, WeightVector, plurality_scores, top
 
 __all__ = [
     "VetoRound",
@@ -166,7 +166,11 @@ class FractionalStep:
 @dataclass(frozen=True)
 class FractionalTrace:
     steps: tuple[FractionalStep, ...]
-    winner: int
+
+    @property
+    def winner(self) -> int:
+        """The candidate of the last step."""
+        return self.steps[-1].candidate
 
     @property
     def matching(self) -> dict[tuple[int, int], Fraction]:
@@ -197,18 +201,17 @@ def fractional_veto(
         raise ValueError(f"q must have one entry per candidate ({e.m}), got {len(q)}")
     cand_weight = list(q.entries)
     steps: list[FractionalStep] = []
-    winner = -1
     for v in _check_order(order, e.n):
         weight = p[v]
         while weight > 0:
-            active = [c for c in range(e.m) if cand_weight[c] > 0]
-            c = bottom_among(e, v, active)
+            for c in reversed(e.rankings[v]):
+                if cand_weight[c] > 0:
+                    break
             eps = min(weight, cand_weight[c])
             weight -= eps
             cand_weight[c] -= eps
             steps.append(FractionalStep(v, c, eps))
-            winner = c
-    return FractionalTrace(tuple(steps), winner)
+    return FractionalTrace(tuple(steps))
 
 
 def format_trace(trace: VetoTrace) -> str:
@@ -238,14 +241,8 @@ class Committee:
         if len(set(self.members)) != len(self.members):
             raise ValueError(f"committee members must be distinct: {self.members!r}")
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __iter__(self):
         return iter(self.members)
-
-    def __contains__(self, c: int) -> bool:
-        return c in self.members
 
 
 def q_social_cost(committee: Committee | Iterable[int], d, q: int, n: int) -> float:

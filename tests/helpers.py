@@ -44,6 +44,11 @@ def social_cost(c: int, d) -> float:
     return sum(row[c] for row in rows)
 
 
+def bottom_among(e: Election, v: int, candidates) -> int:
+    """The candidate in the nonempty ``candidates`` that voter v ranks last."""
+    return max(candidates, key=e.positions[v].__getitem__)
+
+
 def committee_rank_key(e: Election, v: int, committee: Committee, q: int):
     """Sort key realizing voter v's strict order over equal-size committees.
 

@@ -243,7 +243,7 @@ def configs(draw):
     rule = st.sampled_from(["plurality_veto", "random_dictatorship", "committee_select"])
     rule |= st.integers(0, 99).map(lambda k: f"randomized_veto({k})")
     return ExperimentConfig(
-        rules=tuple(draw(st.lists(rule, min_size=1, max_size=4))),
+        rules=tuple(draw(st.lists(rule, min_size=1, max_size=4, unique=True))),
         instances=draw(st.integers(1, 10**6)),
         voters=draw(st.integers(1, 10**6)),
         candidates=candidates,

@@ -373,6 +373,18 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 1 and "unknown rule" in err
 
+    def test_repeated_rule_is_an_input_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace(
+            "randomized_veto(1)", "randomized_veto(1), plurality_veto"))
+        out_csv = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(out_csv)
+        )
+        assert code == 1 and out == ""
+        assert "'plurality_veto' is listed more than once" in err
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "line, message",
         [("distribution = cauchy", "unknown distribution"), ("dim = 0", "dim")],

@@ -9,7 +9,6 @@ from pluveto.core import (
     MissingCandidateError,
     TieError,
     WeightVector,
-    bottom_among,
     parse_election,
     plurality_scores,
     serialize_election,
@@ -174,19 +173,6 @@ class TestQueries:
         e = Election(((0,), (0,)))
         assert top(e, 0) == 0 and top(e, 1) == 0
 
-    def test_bottom_among_demo(self, demo):
-        assert bottom_among(demo, 0, {0, 1, 3}) == 3
-        assert bottom_among(demo, 1, {0, 1}) == 1
-
-    def test_bottom_among_singleton(self, demo):
-        for v in range(demo.n):
-            for c in range(demo.m):
-                assert bottom_among(demo, v, {c}) == c
-
-    def test_bottom_among_empty_rejected(self, demo):
-        with pytest.raises(ValueError):
-            bottom_among(demo, 0, set())
-
     def test_plurality_demo(self, demo):
         assert plurality_scores(demo) == (2, 1, 0, 1)
 
@@ -197,12 +183,6 @@ class TestQueries:
     def test_plurality_all_distinct(self):
         e = Election(((0, 1, 2), (1, 2, 0), (2, 0, 1)))
         assert plurality_scores(e) == (1, 1, 1)
-
-    @given(elections())
-    def test_bottom_of_full_set_is_last(self, e):
-        for v in range(e.n):
-            assert bottom_among(e, v, range(e.m)) == e.rankings[v][-1]
-            assert bottom_among(e, v, {top(e, v)}) == top(e, v)
 
     @given(elections())
     def test_plurality_sums_to_n(self, e):

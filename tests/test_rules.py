@@ -6,7 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pluveto.core import Election, WeightVector, bottom_among, plurality_scores, top
+from pluveto.core import Election, WeightVector, plurality_scores, top
 from pluveto.rules import (
     FractionalStep,
     FractionalTrace,
@@ -20,6 +20,7 @@ from pluveto.rules import (
 )
 
 from conftest import random_election, random_simplex
+from helpers import bottom_among
 
 
 # --- the round loop as it stood before the incremental kernel: the active set
@@ -49,20 +50,20 @@ def reference_randomized_veto(e, k, order):
     return WeightVector(tuple(F(s, e.n - k) for s in scores))
 
 
-def reference_fractional_veto(e, p, q):
-    """The fractional rule as it stood before it took a voter order: every
-    step rescans all weights for the lowest-index voter with weight left."""
+def reference_fractional_veto(e, p, q, order):
+    """The fractional rule with every step rescanning all weights: the first
+    voter in ``order`` with weight left acts next, vetoing her bottom choice
+    among the candidates with weight left."""
     voter_weight, cand_weight = list(p.entries), list(q.entries)
-    steps, winner = [], -1
+    steps = []
     while any(w > 0 for w in voter_weight):
-        v = next(v for v, w in enumerate(voter_weight) if w > 0)
+        v = next(v for v in order if voter_weight[v] > 0)
         c = bottom_among(e, v, [c for c in range(e.m) if cand_weight[c] > 0])
         eps = min(voter_weight[v], cand_weight[c])
         voter_weight[v] -= eps
         cand_weight[c] -= eps
         steps.append(FractionalStep(v, c, eps))
-        winner = c
-    return FractionalTrace(tuple(steps), winner)
+    return FractionalTrace(tuple(steps))
 
 
 def reference_validate_trace(e, trace):
@@ -277,13 +278,16 @@ class TestFractionalVeto:
 
     def test_step_bound_and_exact_exhaustion_random(self):
         rng = random.Random(7)
+        order_rng = random.Random(8)  # a second stream keeps rng's instances
         for _ in range(200):
             n, m = rng.randint(1, 6), rng.randint(1, 6)
             e = random_election(rng, n, m)
             p = random_simplex(rng, n)
             q = random_simplex(rng, m)
-            ftrace = fractional_veto(e, p, q)
-            assert ftrace == reference_fractional_veto(e, p, q)
+            assert fractional_veto(e, p, q) == reference_fractional_veto(e, p, q, range(n))
+            order = order_rng.sample(range(n), n)
+            ftrace = fractional_veto(e, p, q, order)
+            assert ftrace == reference_fractional_veto(e, p, q, order)
             assert len(ftrace.steps) <= n + m
             for step in ftrace.steps:
                 assert step.amount > 0
