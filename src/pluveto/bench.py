@@ -136,7 +136,7 @@ def convex_hull_vertices(points: Sequence[tuple[float, float]]) -> frozenset[int
 
 # --- experiments -----------------------------------------------------------
 
-_RULE_RE = re.compile(r"^randomized_veto\((\d+)\)$")
+_RULE_RE = re.compile(r"^randomized_veto\((0|[1-9]\d*)\)$")
 _KNOWN_RULES = {"plurality_veto", "random_dictatorship", "committee_select"}
 
 

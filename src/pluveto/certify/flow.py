@@ -193,27 +193,24 @@ def dual_from_flow(e: Election, g: FlowAssignment, check: FlowCheck) -> DualRepo
     alpha.  Every flow edge is one multiplier: a preference edge
     (v, c) -> (v, c') for a consistency row, a sideways edge (v, c) -> (v', c)
     for a triangle row through c*; every other multiplier is zero.  The
-    report evaluates both dual constraint families with exact arithmetic:
-    one inequality per voter against alpha, and one per
-    (voter, candidate != c*) that reduces to zero net flow at that node.
+    dual has two constraint families.  The one per (voter, candidate != c*)
+    reduces to zero net flow at that node, which is the conservation
+    :func:`verify_flow` has already enforced, so only the family of one
+    inequality per voter against alpha is evaluated, in exact arithmetic.
     An infeasible report signals a defect in the flow or the translation.
     """
     cstar = g.cstar
     alpha = check.cost
     w = g.w
-    n, m = e.n, e.m
-    zero = Fraction(0)
-    # family-one accumulator per voter, family-two per (voter, candidate)
-    s1 = [zero] * n
-    s2 = [[zero] * m for _ in range(n)]
+    n = e.n
+    # family-one accumulator per voter
+    s1 = [Fraction(0)] * n
     for ((v, c), (v2, c2)), amount in g.flows.items():
         if v == v2:  # verify_flow admits only preference edges within a row
             if c == cstar:
                 s1[v] += amount
             if c2 == cstar:
                 s1[v] -= amount
-            s2[v][c] += amount
-            s2[v][c2] -= amount
         elif c == cstar:
             # the entry matches one positive and one negative pattern for the
             # sender, and two negative patterns for the receiver
@@ -221,8 +218,6 @@ def dual_from_flow(e: Election, g: FlowAssignment, check: FlowCheck) -> DualRepo
         else:
             s1[v] -= amount
             s1[v2] -= amount
-            s2[v][c] += amount
-            s2[v2][c] -= amount
 
     violations: list[str] = []
     voter_totals = []
@@ -233,14 +228,6 @@ def dual_from_flow(e: Election, g: FlowAssignment, check: FlowCheck) -> DualRepo
             violations.append(
                 f"voter {v}: dual load {lhs} exceeds alpha = {alpha}"
             )
-    for v in range(n):
-        for c in range(m):
-            if c == cstar:
-                continue
-            if s2[v][c] < w[c]:
-                violations.append(
-                    f"node ({v},{c}): net outflow {s2[v][c]} below injection {w[c]}"
-                )
     return DualReport(
         feasible=not violations,
         objective=alpha,

@@ -52,14 +52,6 @@ class Metric:
         if any(len(row) != width for row in self.d):
             raise ValueError("all metric rows must have equal length")
 
-    @property
-    def n(self) -> int:
-        return len(self.d)
-
-    @property
-    def m(self) -> int:
-        return len(self.d[0])
-
     def __getitem__(self, v: int) -> tuple[float, ...]:
         return self.d[v]
 

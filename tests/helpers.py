@@ -16,7 +16,7 @@ def is_valid(metric: Metric, tol: float = DEFAULT_TOL) -> bool:
 
 def consistent_with(metric: Metric, e: Election, tol: float = DEFAULT_TOL) -> bool:
     """True iff every voter's ranking is non-decreasing in distance."""
-    if e.n != metric.n or e.m != metric.m:
+    if e.n != len(metric.d) or e.m != len(metric.d[0]):
         return False
     for v, ranking in enumerate(e.rankings):
         row = metric.d[v]

@@ -385,6 +385,20 @@ class TestSimulate:
         assert "'plurality_veto' is listed more than once" in err
         assert not out_csv.exists()
 
+    def test_rule_with_leading_zero_is_unknown(self, tmp_path, capsys):
+        # otherwise randomized_veto(01) would repeat randomized_veto(1)
+        # under a second label
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(self.CONFIG.replace(
+            "randomized_veto(1)", "randomized_veto(1), randomized_veto(01)"))
+        out_csv = tmp_path / "report.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg), "--out", str(out_csv)
+        )
+        assert code == 1 and out == ""
+        assert "unknown rule name 'randomized_veto(01)'" in err
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "line, message",
         [("distribution = cauchy", "unknown distribution"), ("dim = 0", "dim")],

@@ -213,6 +213,46 @@ class TestDualFromFlow:
         assert not report.feasible
         assert report.violations == ("voter 1: dual load 4 exceeds alpha = 7/2",)
 
+    def test_voter_family_on_perturbed_flows(self):
+        # built flows plus sideways 2-cycles outside column c* and sideways
+        # edges inside it; a voter's dual total exceeds its flow cost by
+        # exactly the c*-column sideways flow into or out of its c* node
+        rng = random.Random(31)
+        amounts = (F(1, 4), F(1, 2), F(1, 3), F(1))
+        kept = infeasible = 0
+        for _ in range(600):
+            e = random_election(rng, rng.randint(2, 8), rng.randint(1, 6))
+            trace = plurality_veto(e, tuple(rng.sample(range(e.n), e.n)))
+            cstar = rng.randrange(e.m)
+            g = construct_flow(e, trace, rng.randint(0, e.n - 1), cstar)
+            flows = dict(g.flows)
+            cstar_sideways = [F(0)] * e.n
+            for _ in range(rng.randint(0, 3)):
+                v, v2 = rng.sample(range(e.n), 2)
+                c, amount = rng.randrange(e.m), rng.choice(amounts)
+                edges = [((v, c), (v2, c))]
+                if c == cstar:
+                    cstar_sideways[v] += amount
+                    cstar_sideways[v2] += amount
+                else:
+                    edges.append(((v2, c), (v, c)))
+                for edge in edges:
+                    flows[edge] = flows.get(edge, F(0)) + amount
+            g = FlowAssignment(flows, g.w, cstar)
+            try:
+                check = verify_flow(e, g)
+            except FlowError:
+                continue
+            report = dual_from_flow(e, g, check)
+            assert report.voter_totals == tuple(
+                cost + x for cost, x in zip(check.per_voter_costs, cstar_sideways)
+            )
+            assert report.feasible == (max(report.voter_totals) <= check.cost)
+            assert report.objective == check.cost
+            kept += 1
+            infeasible += not report.feasible
+        assert kept >= 400 and infeasible > 0
+
 
 class TestFlowSerialization:
     def test_round_trip(self, demo, reference_assignment):
